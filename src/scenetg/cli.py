@@ -15,7 +15,7 @@ from pathlib import Path
 from .diff import RunSnapshot, diff_graphs
 from .engine import ExplorationConfig, explore, write_outputs
 from .errors import SceneTGError
-from .graphs import export_dot
+from .graphs import export_dot, read_run_document
 from .simulator import load_app_model, simulate
 
 EXIT_OK = 0
@@ -89,13 +89,15 @@ def _cmd_explore(args) -> int:
     return EXIT_TIMEOUT if result.report["partial"] else EXIT_OK
 
 
+def _explore_output(directory) -> Path:
+    if not (Path(directory) / "scenetg.json").is_file():
+        raise CliError(f"{directory} does not look like an explore output")
+    return Path(directory)
+
+
 def _cmd_diff(args) -> int:
-    for directory in (args.old, args.new):
-        if not (Path(directory) / "scenetg.json").is_file():
-            print(f"error: {directory} does not look like an explore output", file=sys.stderr)
-            return EXIT_USAGE
-    old = RunSnapshot.load(args.old)
-    new = RunSnapshot.load(args.new)
+    old = RunSnapshot.load(_explore_output(args.old))
+    new = RunSnapshot.load(_explore_output(args.new))
     report = diff_graphs(old, new)
     Path(args.out).write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
     sys.stdout.write(report.render_text())
@@ -103,39 +105,14 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    path = Path(args.in_dir) / "scenetg.json"
-    if not path.is_file():
-        print(f"error: {path} not found", file=sys.stderr)
-        return EXIT_USAGE
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = read_run_document(_explore_output(args.in_dir))
     print(json.dumps(doc["stats"]))
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
-    path = Path(args.in_dir) / "scenetg.json"
-    if not path.is_file():
-        print(f"error: {path} not found", file=sys.stderr)
-        return EXIT_USAGE
-    text = path.read_text(encoding="utf-8")
-    if args.format == "json":
-        sys.stdout.write(text)
-        return EXIT_OK
-    doc = json.loads(text)
-    # Rebuild a graph view from the stored document for DOT rendering.
-    from .graphs import EventKind, SceneEdge, SceneGraph
-    from .layout import Selector
-
-    graph = SceneGraph()
-    for scene in doc["scenes"]:
-        graph.add_node(scene["id"], scene["activity"], scene["layout_ref"], scene["screenshot_ref"])
-    for edge in doc["scene_edges"]:
-        graph.add_edge(
-            SceneEdge(
-                edge["src"], edge["dst"], EventKind(edge["event"]), Selector(resource_id=edge["component"])
-            )
-        )
-    sys.stdout.write(export_dot(graph))
+    doc = read_run_document(_explore_output(args.in_dir))
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n" if args.format == "json" else export_dot(doc))
     return EXIT_OK
 
 
@@ -167,6 +144,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.verb](args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SceneTGError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

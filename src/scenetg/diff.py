@@ -8,14 +8,13 @@ through the matching.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .identity import is_adapter_view
-from .layout import ComponentNode, ComponentTree, parse_hierarchy_dump
+from .graphs import read_json, read_run_document
+from .layout import ComponentNode, ComponentTree, children, parse_hierarchy_dump
 
 TRACKED_PROPERTIES = ("resource_id", "widget_class", "package", "text", "clickable")
 
@@ -137,8 +136,8 @@ class RunSnapshot:
     @classmethod
     def load(cls, directory) -> "RunSnapshot":
         directory = Path(directory)
-        doc = json.loads((directory / "scenetg.json").read_text(encoding="utf-8"))
-        paths = json.loads((directory / "paths.json").read_text(encoding="utf-8"))
+        doc = read_run_document(directory)
+        paths = read_json(directory / "paths.json", dict)
         trees = {}
         for scene in doc["scenes"]:
             layout = directory / scene["layout_ref"]
@@ -184,13 +183,6 @@ def match_scenes(old: RunSnapshot, new: RunSnapshot):
     added = [s["id"] for s in new.scenes if s["id"] not in matched_new]
     removed = [s["id"] for s in old.scenes if s["id"] not in matched_old]
     return matches, added, removed, ambiguous
-
-
-def _aligned_children(node: ComponentNode, package: str) -> list[ComponentNode]:
-    kids = [c for c in node.children if c.package == package]
-    if is_adapter_view(node):
-        kids = kids[:1]
-    return kids
 
 
 def _align(old_kids: list[ComponentNode], new_kids: list[ComponentNode]):
@@ -240,7 +232,9 @@ def _diff_nodes(old: ComponentNode, new: ComponentNode, path: tuple, changes: li
                     new=getattr(new, attr),
                 )
             )
-    pairs, added, deleted = _align(_aligned_children(old, package), _aligned_children(new, package))
+    pairs, added, deleted = _align(
+        children(old, package, collapse_adapters=True), children(new, package, collapse_adapters=True)
+    )
     for j, child in added:
         changes.append(NodeChange(ChangeKind.ADDED, path + (j,), child.resource_id))
     for child in deleted:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional
@@ -14,12 +14,19 @@ from . import identity
 from .errors import DriverError, SelectorNotFound
 from .graphs import ActivityEdge, ActivityGraph, EdgeOrigin, EventKind, SceneEdge, SceneGraph, stats
 from .icc import build_icc, direct_launch, value_for_input_type
-from .layout import ComponentNode, ComponentTree, Selector, find_clickable, match_component, parse_hierarchy_dump
+from .layout import (
+    ComponentNode,
+    ComponentTree,
+    Selector,
+    bfs_nodes,
+    find_clickable,
+    match_component,
+    parse_hierarchy_dump,
+)
 
 
 @dataclass
 class ExplorationConfig:
-    analysis_timeout: float = 900.0
     dynamic_timeout: float = 1800.0
     rng_seed: int = 0
     fuzz_component_cap: int = 6
@@ -29,22 +36,10 @@ class ExplorationConfig:
     max_depth_per_activity: int = 20
 
     def __post_init__(self):
-        if self.analysis_timeout <= 0 or self.dynamic_timeout <= 0:
-            raise ValueError("timeouts must be positive")
+        if self.dynamic_timeout <= 0:
+            raise ValueError("dynamic_timeout must be positive")
         if self.fuzz_component_cap < 0:
             raise ValueError("fuzz_component_cap must be >= 0")
-
-    def to_json(self) -> dict:
-        return {
-            "analysis_timeout": self.analysis_timeout,
-            "dynamic_timeout": self.dynamic_timeout,
-            "rng_seed": self.rng_seed,
-            "fuzz_component_cap": self.fuzz_component_cap,
-            "enable_fuzzing": self.enable_fuzzing,
-            "enable_indirect": self.enable_indirect,
-            "enable_scene_id": self.enable_scene_id,
-            "max_depth_per_activity": self.max_depth_per_activity,
-        }
 
 
 class NonTransitiveKind(str, Enum):
@@ -89,8 +84,6 @@ def fuzz_assignments(
     defaults. Assignment order is binary counting with the first component as
     the most significant bit, so assignment 0 is all-defaults.
     """
-    from .layout import bfs_nodes
-
     targets = []
     for node in bfs_nodes(tree, target_package):
         kind = non_transitive_kind(node.widget_class)
@@ -117,7 +110,7 @@ def fuzz_assignments(
     return assignments
 
 
-def apply_assignment(driver, assignment, target_package: str):
+def apply_assignment(driver, assignment):
     """Drive the page into the requested widget states.
 
     Returns (events, missing): `events` is the (kind, selector, value) list of
@@ -334,7 +327,7 @@ class Explorer:
         return lookup(selector) if lookup else None
 
     def _apply_assignment(self, act_name: str, assignment):
-        events, missing = apply_assignment(self.driver, assignment, self.package)
+        events, missing = apply_assignment(self.driver, assignment)
         for event, selector, value in events:
             self._record(event.value.lower(), act_name, selector=selector.describe(), outcome="fuzz")
         return events, missing
@@ -372,7 +365,7 @@ class Explorer:
     def _restore(self, run: _RunCtx, act_name: str, sid: str, path: list) -> None:
         """Back-press until the source scene is observed; relaunch-and-replay otherwise."""
         for _ in range(self.config.max_depth_per_activity + 2):
-            if not getattr(self.driver, "running", True):
+            if not self.driver.running:
                 break
             tree, raw, activity = self._current_tree()
             if activity == act_name and self._state_key(tree, raw) == sid:
@@ -446,12 +439,12 @@ class Explorer:
         report = {
             "package": self.package,
             "seed": config.rng_seed,
-            "config": config.to_json(),
+            "config": asdict(config),
             "rounds": rounds,
             "partial": partial,
             "wall_time_s": round(wall, 6),
             "outcomes": {act.name: self.outcomes[act.name] for act in self.model.activities},
-            "stats": stats(self.scenetg, self.atg),
+            "stats": stats(self.scenetg),
         }
         return ExplorationResult(self.scenetg, self.atg, report, self.trace, self.paths)
 
@@ -461,26 +454,20 @@ def explore(model, driver, config: ExplorationConfig, out_dir=None) -> Explorati
 
 
 def write_outputs(result: ExplorationResult, out_dir, package: str) -> None:
-    """Write the full explore artifact set (layout files are written during the run)."""
-    from .graphs import export_dot, export_json
+    """Write the full explore artifact set (layout files are written during the run).
+
+    scenetg.dot and atg.json are rendered from the scenetg.json document, the
+    same input `scenetg export` reads back.
+    """
+    from .graphs import export_dot, export_json  # resolved per call: perfbench/tracing.py wraps them
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "scenetg.json").write_text(export_json(result.scenetg, result.atg, package), encoding="utf-8")
-    (out / "scenetg.dot").write_text(export_dot(result.scenetg), encoding="utf-8")
-    atg_doc = {
-        "package": package,
-        "atg_edges": [
-            {
-                "caller": e.caller,
-                "callee": e.callee,
-                "event": e.event.value,
-                "component": e.component.describe(),
-                "origin": origin.value,
-            }
-            for e, origin, _ in result.atg.edges()
-        ],
-    }
+    text = export_json(result.scenetg, result.atg, package)
+    doc = json.loads(text)
+    (out / "scenetg.json").write_text(text, encoding="utf-8")
+    (out / "scenetg.dot").write_text(export_dot(doc), encoding="utf-8")
+    atg_doc = {"package": package, "atg_edges": doc["atg_edges"]}
     (out / "atg.json").write_text(json.dumps(atg_doc, indent=2) + "\n", encoding="utf-8")
     (out / "report.json").write_text(json.dumps(result.report, indent=2) + "\n", encoding="utf-8")
     (out / "paths.json").write_text(json.dumps(result.paths, indent=2, sort_keys=True) + "\n", encoding="utf-8")

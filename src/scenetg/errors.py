@@ -26,6 +26,10 @@ class DanglingReference(SceneTGError):
     """An app model references an activity, scene, or widget that is not declared."""
 
 
+class CorruptRun(SceneTGError):
+    """A stored explore output is not valid JSON or lacks a field its readers need."""
+
+
 class MissingEdge(SceneTGError):
     """Requested activity edge does not exist in the graph."""
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Callable
 
-from .errors import MissingEdge
+from .errors import CorruptRun, MissingEdge
 from .layout import Selector
 
 
@@ -31,9 +32,6 @@ class ActivityEdge:
     event: EventKind
     component: Selector
 
-    def key(self):
-        return (self.caller, self.callee, self.event, self.component)
-
 
 @dataclass(frozen=True)
 class SceneEdge:
@@ -42,9 +40,6 @@ class SceneEdge:
     event: EventKind
     component: Selector
 
-    def key(self):
-        return (self.src, self.dst, self.event, self.component)
-
 
 @dataclass
 class SceneNode:
@@ -52,57 +47,46 @@ class SceneNode:
     owning_activity: str
     layout_ref: str
     screenshot_ref: str
-    discovered_at: int
 
 
 class ActivityGraph:
-    """Dynamically augmented ATG. Inserts are idempotent; duplicates keep the
-    earliest recorded origin (SEED wins over a later identical DYNAMIC edge)."""
+    """Dynamically augmented ATG: one insertion-ordered dict from edge to origin.
+
+    Inserts are idempotent; duplicates keep the earliest recorded origin (SEED
+    wins over a later identical DYNAMIC edge). Edges are never removed, so the
+    edge count marks a point in the graph's growth.
+    """
 
     def __init__(self):
-        self._edges: dict[tuple, tuple[int, EdgeOrigin]] = {}
-        self._by_pair: dict[tuple[str, str], list[tuple[int, EventKind, Selector]]] = {}
-        self._callers: dict[str, set[str]] = {}
-        self._counter = 0
+        self._edges: dict[ActivityEdge, EdgeOrigin] = {}
 
     def add_edge(self, edge: ActivityEdge, origin: EdgeOrigin = EdgeOrigin.DYNAMIC) -> bool:
-        key = edge.key()
-        if key in self._edges:
+        if edge in self._edges:
             return False
-        self._counter += 1
-        self._edges[key] = (self._counter, origin)
-        self._by_pair.setdefault((edge.caller, edge.callee), []).append(
-            (self._counter, edge.event, edge.component)
-        )
-        self._callers.setdefault(edge.callee, set()).add(edge.caller)
+        self._edges[edge] = origin
         return True
 
     def mark(self) -> int:
-        return self._counter
+        return len(self._edges)
 
     def augmented_since(self, mark: int) -> bool:
-        return self._counter > mark
+        return len(self._edges) > mark
 
     def __len__(self) -> int:
         return len(self._edges)
 
-    def edges(self) -> list[tuple[ActivityEdge, EdgeOrigin, int]]:
-        out = []
-        for (caller, callee, event, component), (order, origin) in self._edges.items():
-            out.append((ActivityEdge(caller, callee, event, component), origin, order))
-        out.sort(key=lambda item: item[2])
-        return out
+    def edges(self) -> list[tuple[ActivityEdge, EdgeOrigin]]:
+        return list(self._edges.items())
 
     def callers_of(self, activity: str) -> set[str]:
-        return set(self._callers.get(activity, ()))
+        return {edge.caller for edge in self._edges if edge.callee == activity}
 
     def edge_action(self, caller: str, callee: str) -> tuple[EventKind, Selector]:
         """Earliest-discovered (event, component) that triggers caller -> callee."""
-        actions = self._by_pair.get((caller, callee))
-        if not actions:
-            raise MissingEdge(f"no edge {caller} -> {callee}")
-        order, event, component = min(actions, key=lambda a: a[0])
-        return event, component
+        for edge in self._edges:
+            if edge.caller == caller and edge.callee == callee:
+                return edge.event, edge.component
+        raise MissingEdge(f"no edge {caller} -> {callee}")
 
     def caller_chains(self, target: str, launchable: Callable[[str], bool]) -> list[list[str]]:
         """Reverse-BFS chains [head, ..., target] whose head satisfies `launchable`.
@@ -129,40 +113,32 @@ class ActivityGraph:
 
 
 class SceneGraph:
-    """SceneTG: hash-identified scene nodes plus labeled transition edges."""
+    """SceneTG: hash-identified scene nodes plus labeled transition edges, both in discovery order."""
 
     def __init__(self):
         self.nodes: dict[str, SceneNode] = {}
-        self._edges: dict[tuple, tuple[SceneEdge, int]] = {}
-        self._counter = 0
+        self._edges: dict[SceneEdge, None] = {}
 
     def add_node(self, scene_id: str, owning_activity: str, layout_ref: str, screenshot_ref: str) -> bool:
         """Record a scene; first discovery wins (ownership and refs are kept)."""
         if scene_id in self.nodes:
             return False
-        self._counter += 1
-        self.nodes[scene_id] = SceneNode(scene_id, owning_activity, layout_ref, screenshot_ref, self._counter)
+        self.nodes[scene_id] = SceneNode(scene_id, owning_activity, layout_ref, screenshot_ref)
         return True
 
     def add_edge(self, edge: SceneEdge) -> bool:
-        key = edge.key()
-        if key in self._edges:
+        if edge in self._edges:
             return False
         if edge.src not in self.nodes or edge.dst not in self.nodes:
             raise MissingEdge(f"edge endpoints must exist as scene nodes: {edge.src} -> {edge.dst}")
-        self._counter += 1
-        self._edges[key] = (edge, self._counter)
+        self._edges[edge] = None
         return True
 
     def edges(self) -> list[SceneEdge]:
-        ordered = sorted(self._edges.values(), key=lambda item: item[1])
-        return [edge for edge, _ in ordered]
-
-    def sorted_nodes(self) -> list[SceneNode]:
-        return sorted(self.nodes.values(), key=lambda n: (n.discovered_at, n.id))
+        return list(self._edges)
 
 
-def stats(scenetg: SceneGraph, atg: Optional[ActivityGraph] = None) -> dict:
+def stats(scenetg: SceneGraph) -> dict:
     activities = {node.owning_activity for node in scenetg.nodes.values()}
     return {
         "explored_activities": len(activities),
@@ -171,12 +147,8 @@ def stats(scenetg: SceneGraph, atg: Optional[ActivityGraph] = None) -> dict:
     }
 
 
-def _component_str(component: Selector) -> str:
-    return component.describe()
-
-
 def export_json(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated_at: str = "0") -> str:
-    """Deterministic JSON export; nodes and edges sorted by (discovered_at, id)."""
+    """Deterministic JSON export (the scenetg.json document); nodes and edges in discovery order."""
     doc = {
         "package": package,
         "generated_at": generated_at,
@@ -187,15 +159,10 @@ def export_json(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated
                 "layout_ref": n.layout_ref,
                 "screenshot_ref": n.screenshot_ref,
             }
-            for n in scenetg.sorted_nodes()
+            for n in scenetg.nodes.values()
         ],
         "scene_edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "event": e.event.value,
-                "component": _component_str(e.component),
-            }
+            {"src": e.src, "dst": e.dst, "event": e.event.value, "component": e.component.describe()}
             for e in scenetg.edges()
         ],
         "atg_edges": [
@@ -203,24 +170,59 @@ def export_json(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated
                 "caller": e.caller,
                 "callee": e.callee,
                 "event": e.event.value,
-                "component": _component_str(e.component),
+                "component": e.component.describe(),
                 "origin": origin.value,
             }
-            for e, origin, _ in atg.edges()
+            for e, origin in atg.edges()
         ],
-        "stats": stats(scenetg, atg),
+        "stats": stats(scenetg),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def export_dot(scenetg: SceneGraph) -> str:
-    """DOT digraph; scene nodes labeled with the 8-char id prefix plus activity."""
+def export_dot(doc: dict) -> str:
+    """DOT digraph of a scenetg.json document; scene nodes labeled with the 8-char id prefix plus activity."""
     lines = ["digraph scenetg {"]
-    for node in scenetg.sorted_nodes():
-        label = f"{node.id[:8]}\\n{node.owning_activity}"
-        lines.append(f'  "{node.id}" [label="{label}"];')
-    for edge in scenetg.edges():
-        label = f"{edge.event.value}/{_component_str(edge.component)}"
-        lines.append(f'  "{edge.src}" -> "{edge.dst}" [label="{label}"];')
+    for scene in doc["scenes"]:
+        label = f"{scene['id'][:8]}\\n{scene['activity']}"
+        lines.append(f'  "{scene["id"]}" [label="{label}"];')
+    known = {scene["id"] for scene in doc["scenes"]}
+    for edge in doc["scene_edges"]:
+        if edge["src"] not in known or edge["dst"] not in known:
+            raise MissingEdge(f"edge endpoints must exist as scenes: {edge['src']} -> {edge['dst']}")
+        lines.append(f'  "{edge["src"]}" -> "{edge["dst"]}" [label="{edge["event"]}/{edge["component"]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# Top-level keys of a scenetg.json document, and the string fields of its scenes and edges.
+_DOCUMENT_FIELDS = {"package": str, "scenes": list, "scene_edges": list, "atg_edges": list, "stats": dict}
+_ENTRY_FIELDS = {
+    "scenes": ("id", "activity", "layout_ref", "screenshot_ref"),
+    "scene_edges": ("src", "dst", "event", "component"),
+}
+
+
+def read_json(path: Path, kind: type):
+    """A stored run's JSON file whose top level must be a `kind`; CorruptRun otherwise."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorruptRun(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(value, kind):
+        raise CorruptRun(f"{path}: top level must be a JSON {kind.__name__}")
+    return value
+
+
+def read_run_document(directory) -> dict:
+    """The scenetg.json document of an explore output directory, with every field its readers use."""
+    path = Path(directory) / "scenetg.json"
+    doc = read_json(path, dict)
+    for key, kind in _DOCUMENT_FIELDS.items():
+        if not isinstance(doc.get(key), kind):
+            raise CorruptRun(f"{path}: {key}: missing or not a {kind.__name__}")
+    for key, fields in _ENTRY_FIELDS.items():
+        for i, entry in enumerate(doc[key]):
+            if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in fields):
+                raise CorruptRun(f"{path}: {key}[{i}]: needs string fields {', '.join(fields)}")
+    return doc

@@ -11,22 +11,8 @@ lengths built from the same row template hash equal as well.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 
-from .layout import ComponentNode, ComponentTree
-
-# Standard adapter-backed widgets, matched by class simple-name suffix so that
-# support-library variants (e.g. AppCompatSpinner) are covered.
-ADAPTER_VIEW_SUFFIXES = (
-    "ListView",
-    "ExpandableListView",
-    "GridView",
-    "RecyclerView",
-    "Spinner",
-    "ViewPager",
-    "Gallery",
-    "StackView",
-)
+from .layout import ComponentNode, ComponentTree, bfs_nodes, is_adapter_view  # noqa: F401 (re-exported)
 
 EMPTY_SCENE_ID = "d41d8cd98f00b204e9800998ecf8427e"  # MD5 of the empty string
 
@@ -39,29 +25,9 @@ def node_hash(node: ComponentNode) -> str:
     return hashlib.md5(node_signature(node).encode("utf-8")).hexdigest()
 
 
-def is_adapter_view(node: ComponentNode) -> bool:
-    simple = node.widget_class.rsplit(".", 1)[-1]
-    return simple.endswith(ADAPTER_VIEW_SUFFIXES)
-
-
 def signature_nodes(tree: ComponentTree, target_package: str) -> list[ComponentNode]:
-    """BFS order after foreign-package filtering and adapter first-child collapsing.
-
-    The adapter rule applies recursively: adapters inside a collapsed first
-    child are collapsed too.
-    """
-    if tree.root.package != target_package:
-        return []
-    order = []
-    queue = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        kids = [c for c in node.children if c.package == target_package]
-        if is_adapter_view(node):
-            kids = kids[:1]
-        queue.extend(kids)
-    return order
+    """BFS order after foreign-package filtering and adapter first-child collapsing."""
+    return bfs_nodes(tree, target_package, collapse_adapters=True)
 
 
 def scene_id(tree: ComponentTree, target_package: str) -> str:

@@ -175,18 +175,45 @@ def serialize_tree(tree: ComponentTree) -> str:
     return "\n".join(out) + "\n"
 
 
-def bfs_nodes(tree: ComponentTree, target_package: str) -> list[ComponentNode]:
-    """Breadth-first node order; foreign-package nodes are dropped with their whole subtree."""
+# Standard adapter-backed widgets, matched by class simple-name suffix so that
+# support-library variants (e.g. AppCompatSpinner) are covered.
+ADAPTER_VIEW_SUFFIXES = (
+    "ListView",
+    "ExpandableListView",
+    "GridView",
+    "RecyclerView",
+    "Spinner",
+    "ViewPager",
+    "Gallery",
+    "StackView",
+)
+
+
+def is_adapter_view(node: ComponentNode) -> bool:
+    simple = node.widget_class.rsplit(".", 1)[-1]
+    return simple.endswith(ADAPTER_VIEW_SUFFIXES)
+
+
+def children(node: ComponentNode, target_package: str, collapse_adapters: bool = False) -> list[ComponentNode]:
+    """The node's target-package children; an adapter view keeps only its first when collapsing."""
+    kids = [c for c in node.children if c.package == target_package]
+    if collapse_adapters and is_adapter_view(node):
+        return kids[:1]
+    return kids
+
+
+def bfs_nodes(tree: ComponentTree, target_package: str, collapse_adapters: bool = False) -> list[ComponentNode]:
+    """Breadth-first node order under the `children` rule.
+
+    Foreign-package nodes are dropped with their whole subtree; with
+    `collapse_adapters`, adapters inside a kept first child are collapsed too.
+    """
     if tree.root.package != target_package:
         return []
-    order = []
-    queue = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for child in node.children:
-            if child.package == target_package:
-                queue.append(child)
+    order = [tree.root]
+    for node in order:  # the list is the queue: it grows while being walked
+        if node.children:
+            order.extend(children(node, target_package, collapse_adapters))
     return order
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import DanglingReference, DriverError, SchemaError, SelectorNotFound
+from .graphs import EventKind
 from .icc import ExtraType, IccMessage
 from .layout import Bounds, ComponentNode, ComponentTree, Selector, serialize_tree
 
@@ -43,15 +44,6 @@ class LaunchResult:
 
 
 @dataclass(frozen=True)
-class EventOutcome:
-    changed: bool
-    navigated: bool = False
-    activity: Optional[str] = None
-    scene: Optional[str] = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class Condition:
     widget: str
     prop: str  # "checked" or "filled"
@@ -75,8 +67,7 @@ class WidgetModel:
 
 @dataclass
 class TransitionModel:
-    widget: str
-    event: str = "tap"
+    widget: str  # every transition fires on a tap of this widget
     guard: list[Condition] = field(default_factory=list)
     target: Optional[tuple[str, str]] = None  # ("scene"|"activity", name)
     set_text: Optional[tuple[str, str]] = None  # (widget id, value)
@@ -139,22 +130,32 @@ class AppModel:
 # Model loading / validation
 
 
-def _require(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise SchemaError(f"{where}: missing required field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
+_ABSENT = object()
+
+
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected object")
+    return obj
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default=_ABSENT):
+    """obj[key], whose type must be exactly `kind` (so a bool is no int); an absent key takes `default`."""
+    value = obj.get(key, _ABSENT)
+    if value is _ABSENT:
+        if default is _ABSENT:
+            raise SchemaError(f"{where}: missing required field {key!r}")
+        return default
+    if type(value) is not kind:
         raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
 def _parse_condition(obj, where: str) -> Condition:
-    if not isinstance(obj, dict) or "widget" not in obj:
-        raise SchemaError(f"{where}: condition needs a 'widget' field")
-    if "checked" in obj:
-        return Condition(obj["widget"], "checked", bool(obj["checked"]))
-    if "filled" in obj:
-        return Condition(obj["widget"], "filled", bool(obj["filled"]))
+    widget = _field(_object(obj, where), "widget", str, where)
+    for prop in ("checked", "filled"):
+        if prop in obj:
+            return Condition(widget, prop, _field(obj, prop, bool, where))
     raise SchemaError(f"{where}: condition needs 'checked' or 'filled'")
 
 
@@ -168,33 +169,34 @@ def _parse_conditions(obj, where: str) -> list[Condition]:
     return [_parse_condition(c, f"{where}[{i}]") for i, c in enumerate(obj)]
 
 
-def _parse_widget(obj: dict, where: str) -> WidgetModel:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected object")
-    wid = _require(obj, "id", str, where)
-    cls = _require(obj, "class", str, where)
+def _parse_widget(obj, where: str) -> WidgetModel:
+    wid = _field(_object(obj, where), "id", str, where)
+    cls = _field(obj, "class", str, where)
+    repeat = _field(obj, "repeat", int, where, 1)
+    if repeat < 0:
+        raise SchemaError(f"{where}.repeat: must be >= 0, got {repeat}")
     children = [
-        _parse_widget(c, f"{where}.children[{i}]") for i, c in enumerate(obj.get("children", []))
+        _parse_widget(c, f"{where}.children[{i}]") for i, c in enumerate(_field(obj, "children", list, where, []))
     ]
     return WidgetModel(
         id=wid,
         widget_class=cls,
-        rid=obj.get("rid"),
-        text=obj.get("text", ""),
-        clickable=bool(obj.get("clickable", False)),
-        checkable=bool(obj.get("checkable", False)),
-        checked=bool(obj.get("checked", False)),
-        input_type=obj.get("input_type"),
-        repeat=int(obj.get("repeat", 1)),
+        rid=_field(obj, "rid", str, where, None),
+        text=_field(obj, "text", str, where, ""),
+        clickable=_field(obj, "clickable", bool, where, False),
+        checkable=_field(obj, "checkable", bool, where, False),
+        checked=_field(obj, "checked", bool, where, False),
+        input_type=_field(obj, "input_type", str, where, None),
+        repeat=repeat,
         visible_when=_parse_conditions(obj.get("visible_when"), f"{where}.visible_when"),
         children=children,
     )
 
 
-def _parse_transition(obj: dict, where: str) -> TransitionModel:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected object")
-    widget = _require(obj, "widget", str, where)
+def _parse_transition(obj, where: str) -> TransitionModel:
+    widget = _field(_object(obj, where), "widget", str, where)
+    if _field(obj, "event", str, where, "tap") != "tap":
+        raise SchemaError(f"{where}.event: only 'tap' is supported, got {obj['event']!r}")
     target = None
     if obj.get("target") is not None:
         raw = obj["target"]
@@ -206,18 +208,16 @@ def _parse_transition(obj: dict, where: str) -> TransitionModel:
         target = (kind, name)
     set_text = None
     if obj.get("set_text") is not None:
-        st = obj["set_text"]
-        if not isinstance(st, dict) or "widget" not in st or "value" not in st:
-            raise SchemaError(f"{where}.set_text: expected {{widget, value}}")
-        set_text = (st["widget"], str(st["value"]))
+        sw = f"{where}.set_text"
+        st = _object(obj["set_text"], sw)
+        set_text = (_field(st, "widget", str, sw), _field(st, "value", str, sw))
     return TransitionModel(
         widget=widget,
-        event=obj.get("event", "tap"),
         guard=_parse_conditions(obj.get("guard"), f"{where}.guard"),
         target=target,
         set_text=set_text,
-        increment=obj.get("increment"),
-        clear_stack=bool(obj.get("clear_stack", False)),
+        increment=_field(obj, "increment", str, where, None),
+        clear_stack=_field(obj, "clear_stack", bool, where, False),
     )
 
 
@@ -268,31 +268,30 @@ def _validate_activity(activity: ActivityModel, model: AppModel, where: str) -> 
 
 
 def parse_app_model(doc: dict) -> AppModel:
-    package = _require(doc, "package", str, "model")
-    raw_acts = _require(doc, "activities", list, "model")
+    package = _field(doc, "package", str, "model")
+    raw_acts = _field(doc, "activities", list, "model")
     if not raw_acts:
         raise SchemaError("model.activities: must not be empty")
     activities = []
     seen = set()
     for i, raw in enumerate(raw_acts):
         where = f"model.activities[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: expected object")
-        name = _require(raw, "name", str, where)
+        name = _field(_object(raw, where), "name", str, where)
         if name in seen:
             raise SchemaError(f"{where}.name: duplicate activity {name!r}")
         seen.add(name)
-        raw_scenes = _require(raw, "scenes", list, where)
+        raw_scenes = _field(raw, "scenes", list, where)
         if not raw_scenes:
             raise SchemaError(f"{where}.scenes: activity needs an entry scene")
         scenes = []
         for j, rs in enumerate(raw_scenes):
             sw = f"{where}.scenes[{j}]"
-            sname = _require(rs, "name", str, sw)
-            widgets = [_parse_widget(w, f"{sw}.widgets[{k}]") for k, w in enumerate(rs.get("widgets", []))]
+            sname = _field(_object(rs, sw), "name", str, sw)
+            raw_widgets = _field(rs, "widgets", list, sw, [])
+            widgets = [_parse_widget(w, f"{sw}.widgets[{k}]") for k, w in enumerate(raw_widgets)]
             transitions = [
                 _parse_transition(t, f"{sw}.transitions[{k}]")
-                for k, t in enumerate(rs.get("transitions", []))
+                for k, t in enumerate(_field(rs, "transitions", list, sw, []))
             ]
             scenes.append(SceneModel(sname, widgets, transitions))
         launch_failure = None
@@ -302,22 +301,24 @@ def parse_app_model(doc: dict) -> AppModel:
             except ValueError:
                 raise SchemaError(f"{where}.launch_failure: unknown reason {raw['launch_failure']!r}") from None
         extras = []
-        for k, pair in enumerate(raw.get("required_extras", [])):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise SchemaError(f"{where}.required_extras[{k}]: expected [key, type]")
-            extras.append((str(pair[0]), str(pair[1])))
+        for k, pair in enumerate(_field(raw, "required_extras", list, where, [])):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+                raise SchemaError(f"{where}.required_extras[{k}]: expected [key, type] strings")
+            if pair[1] not in ExtraType.__members__:
+                raise SchemaError(f"{where}.required_extras[{k}]: unknown extra type {pair[1]!r}")
+            extras.append((pair[0], pair[1]))
         activities.append(
             ActivityModel(
                 name=name,
                 scenes=scenes,
-                directly_launchable=bool(raw.get("directly_launchable", True)),
-                declared=bool(raw.get("declared", True)),
+                directly_launchable=_field(raw, "directly_launchable", bool, where, True),
+                declared=_field(raw, "declared", bool, where, True),
                 launch_failure=launch_failure,
                 required_extras=extras,
             )
         )
     seed_atg = []
-    for i, raw in enumerate(doc.get("seed_atg", [])):
+    for i, raw in enumerate(_field(doc, "seed_atg", list, "model", [])):
         where = f"model.seed_atg[{i}]"
         if isinstance(raw, dict):
             entry = (raw.get("caller"), raw.get("callee"), raw.get("event", "TAP"), raw.get("component"))
@@ -327,6 +328,8 @@ def parse_app_model(doc: dict) -> AppModel:
             raise SchemaError(f"{where}: expected [caller, callee, event, component]")
         if not all(isinstance(x, str) and x for x in entry):
             raise SchemaError(f"{where}: all four fields must be nonempty strings")
+        if entry[2] not in EventKind.__members__:
+            raise SchemaError(f"{where}.event: unknown event {entry[2]!r}")
         if entry[0] not in seen:
             raise DanglingReference(f"{where}.caller: activity {entry[0]!r} not declared")
         if entry[1] not in seen:
@@ -430,45 +433,27 @@ class SimulatorSession:
         tree = self._render(frame)
         return tree.raw, frame.instance.model.name
 
-    def tap(self, selector: Selector) -> EventOutcome:
+    def tap(self, selector: Selector) -> None:
         frame = self._top()
         widget = self._find_widget(frame, selector)
         for tr in frame.instance.model.scene(frame.scene_name).transitions:
-            if tr.widget != widget.id or tr.event != "tap":
-                continue
-            if all(frame.instance.holds(c) for c in tr.guard):
-                return self._fire(frame, tr)
-        if widget.checkable:
-            st = frame.instance.states[widget.id]
-            st["checked"] = not st["checked"]
-            return EventOutcome(changed=True, activity=frame.instance.model.name, scene=frame.scene_name)
-        return EventOutcome(changed=False, activity=frame.instance.model.name, scene=frame.scene_name)
+            if tr.widget == widget.id and all(frame.instance.holds(c) for c in tr.guard):
+                self._fire(frame, tr)
+                return
+        self._flip(frame, widget)
 
-    def set_text(self, selector: Selector, value: str) -> EventOutcome:
+    def set_text(self, selector: Selector, value: str) -> None:
         frame = self._top()
         widget = self._find_widget(frame, selector)
         frame.instance.states[widget.id]["text"] = value
-        return EventOutcome(changed=True, activity=frame.instance.model.name, scene=frame.scene_name)
 
-    def toggle(self, selector: Selector) -> EventOutcome:
+    def toggle(self, selector: Selector) -> None:
         frame = self._top()
-        widget = self._find_widget(frame, selector)
-        if not widget.checkable:
-            return EventOutcome(changed=False, note="not checkable")
-        st = frame.instance.states[widget.id]
-        st["checked"] = not st["checked"]
-        return EventOutcome(changed=True, activity=frame.instance.model.name, scene=frame.scene_name)
+        self._flip(frame, self._find_widget(frame, selector))
 
-    def press_back(self) -> EventOutcome:
-        if not self._stack:
-            return EventOutcome(changed=False, note="no app running")
-        self._stack.pop()
-        if not self._stack:
-            return EventOutcome(changed=True, navigated=True, note="app exited")
-        frame = self._top()
-        return EventOutcome(
-            changed=True, navigated=True, activity=frame.instance.model.name, scene=frame.scene_name
-        )
+    def press_back(self) -> None:
+        if self._stack:
+            self._stack.pop()
 
     def screenshot_ref(self) -> str:
         frame = self._top()
@@ -490,19 +475,21 @@ class SimulatorSession:
             raise DriverError("no app running")
         return self._stack[-1]
 
-    def _fire(self, frame: _Frame, tr: TransitionModel) -> EventOutcome:
-        changed = False
+    def _flip(self, frame: _Frame, widget: WidgetModel) -> None:
+        if widget.checkable:
+            st = frame.instance.states[widget.id]
+            st["checked"] = not st["checked"]
+
+    def _fire(self, frame: _Frame, tr: TransitionModel) -> None:
         if tr.set_text:
             wid, value = tr.set_text
             frame.instance.states[wid]["text"] = value
-            changed = True
         if tr.increment:
             st = frame.instance.states[tr.increment]
             st["count"] += 1
             st["text"] = str(st["count"])
-            changed = True
         if tr.target is None:
-            return EventOutcome(changed=changed, activity=frame.instance.model.name, scene=frame.scene_name)
+            return
         kind, name = tr.target
         if kind == "scene":
             new_frame = _Frame(frame.instance, name)
@@ -513,12 +500,6 @@ class SimulatorSession:
             self._stack = [new_frame]
         else:
             self._stack.append(new_frame)
-        return EventOutcome(
-            changed=True,
-            navigated=True,
-            activity=new_frame.instance.model.name,
-            scene=new_frame.scene_name,
-        )
 
     def _resource_id(self, wid: str) -> str:
         return f"{self.model.package}:id/{wid}" if wid else ""

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -80,21 +81,35 @@ class TestOtherVerbs:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stats"]["scenes"] == 9
         assert main(["export", "--in", str(explored), "--format", "dot"]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("digraph scenetg {")
+        dot = capsys.readouterr().out
+        assert dot.startswith("digraph scenetg {")
+        assert dot == (explored / "scenetg.dot").read_text(encoding="utf-8")
 
-    def test_export_corrupt_graph_is_runtime_error(self, tmp_path, capsys):
-        out = tmp_path / "corrupt"
-        out.mkdir()
-        (out / "scenetg.json").write_text(
-            json.dumps(
-                {
-                    "package": "p",
-                    "scenes": [],
-                    "scene_edges": [{"src": "x", "dst": "y", "event": "TAP", "component": "c"}],
-                }
-            )
-        )
+    def test_export_corrupt_graph_is_runtime_error(self, explored, tmp_path, capsys):
+        good = json.loads((explored / "scenetg.json").read_text())
+        dangling = dict(good, scene_edges=[{"src": "x", "dst": "y", "event": "TAP", "component": "c"}])
+        corruptions = {
+            "invalid-json": "{nope",
+            "no-stats": json.dumps({k: v for k, v in good.items() if k != "stats"}),
+            "no-scenes": json.dumps({k: v for k, v in good.items() if k != "scenes"}),
+            "scene-without-layout": json.dumps(dict(good, scenes=[{"id": "x", "activity": "A"}])),
+        }
+        for name, text in corruptions.items():
+            out = tmp_path / name
+            shutil.copytree(explored, out)
+            (out / "scenetg.json").write_text(text)
+            for argv in (
+                ["stats", "--in", str(out)],
+                ["export", "--in", str(out), "--format", "dot"],
+                ["export", "--in", str(out), "--format", "json"],
+                ["diff", "--old", str(out), "--new", str(explored), "--out", str(tmp_path / "d.json")],
+                ["diff", "--old", str(explored), "--new", str(out), "--out", str(tmp_path / "d.json")],
+            ):
+                assert main(argv) == EXIT_RUNTIME, (name, argv[0])
+                assert "scenetg.json" in capsys.readouterr().err
+        (out / "scenetg.json").write_text(json.dumps(dangling))
         assert main(["export", "--in", str(out), "--format", "dot"]) == EXIT_RUNTIME
+        assert "x -> y" in capsys.readouterr().err
 
     def test_diff_verb(self, tmp_path, capsys):
         _, old = explore_to(tmp_path / "a", "nested_menu_v1.json")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestApplyAssignment:
             (Selector(resource_id=f"{pkg}:id/sw_mode"), NonTransitiveKind.SWITCH, True),
             (Selector(resource_id=f"{pkg}:id/sw_ghost"), NonTransitiveKind.SWITCH, True),  # missing
         ]
-        events, missing = apply_assignment(driver, assignment, pkg)
+        events, missing = apply_assignment(driver, assignment)
         assert [e[0].value for e in events] == ["SET_TEXT", "TOGGLE"]
         assert [s.resource_id for s in missing] == [f"{pkg}:id/sw_ghost"]
         raw, _ = driver.current_dump()
@@ -106,7 +107,7 @@ class TestExploration:
 
     def test_seed_atg_components_expand_to_full_resource_ids(self, runs):
         result, _, _ = runs.run("fig5a.json")
-        seeds = [e for e, origin, _ in result.atg.edges() if origin.value == "SEED"]
+        seeds = [e for e, origin in result.atg.edges() if origin.value == "SEED"]
         assert all(e.component.resource_id.startswith("com.fixture.fig5a:id/") for e in seeds)
 
     def test_guarded_scene_requires_fuzzing(self, runs):
@@ -170,14 +171,12 @@ class TestConfig:
     def test_rejects_bad_timeouts(self):
         with pytest.raises(ValueError):
             ExplorationConfig(dynamic_timeout=0)
-        with pytest.raises(ValueError):
-            ExplorationConfig(analysis_timeout=-1)
 
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError):
             ExplorationConfig(fuzz_component_cap=-1)
 
     def test_to_json_roundtrip_keys(self):
-        doc = ExplorationConfig().to_json()
+        doc = asdict(ExplorationConfig())
         assert doc["enable_fuzzing"] and doc["enable_indirect"] and doc["enable_scene_id"]
         assert doc["fuzz_component_cap"] == 6

@@ -32,7 +32,7 @@ class TestActivityGraph:
         g = ActivityGraph()
         g.add_edge(aedge("A", "B"), EdgeOrigin.SEED)
         g.add_edge(aedge("A", "B"), EdgeOrigin.DYNAMIC)
-        [(edge, origin, _)] = g.edges()
+        [(edge, origin)] = g.edges()
         assert origin is EdgeOrigin.SEED
 
     def test_mark_and_augmented_since(self):
@@ -148,8 +148,8 @@ class TestExports:
         assert export_json(sg, ag, "p") == export_json(sg, ag, "p")
 
     def test_export_dot(self):
-        sg, _ = self._graphs()
-        dot = export_dot(sg)
+        sg, ag = self._graphs()
+        dot = export_dot(json.loads(export_json(sg, ag, "p")))
         assert dot.startswith("digraph scenetg {")
         assert f'"{"a" * 32}" -> "{"b" * 32}" [label="TAP/p:id/btn"];' in dot
         assert "aaaaaaaa\\nMainActivity" in dot

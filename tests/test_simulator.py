@@ -151,6 +151,46 @@ class TestModelValidation:
             load_app_model(path)
 
 
+W = ("activities", 0, "scenes", 0, "widgets")
+T = ("activities", 0, "scenes", 0, "transitions")
+W_AT = r"model\.activities\[0\]\.scenes\[0\]\.widgets"
+T_AT = r"model\.activities\[0\]\.scenes\[0\]\.transitions"
+
+# (field path into MODEL, bad value, expected error path)
+BAD_FIELDS = [
+    (W + (1, "clickable"), "false", W_AT + r"\[1\]\.clickable"),
+    (W + (7, "children", 0, "repeat"), "x", W_AT + r"\[7\]\.children\[0\]\.repeat"),
+    (W + (7, "children", 0, "repeat"), -1, W_AT + r"\[7\]\.children\[0\]\.repeat"),
+    (W + (7, "children", 0, "repeat"), True, W_AT + r"\[7\]\.children\[0\]\.repeat"),
+    (W + (0, "text"), 5, W_AT + r"\[0\]\.text"),
+    (W + (0, "rid"), 5, W_AT + r"\[0\]\.rid"),
+    (W + (5, "input_type"), 5, W_AT + r"\[5\]\.input_type"),
+    (W + (4, "checkable"), "true", W_AT + r"\[4\]\.checkable"),
+    (W + (4, "checked"), 1, W_AT + r"\[4\]\.checked"),
+    (W + (6, "visible_when", 0, "checked"), "yes", W_AT + r"\[6\]\.visible_when\[0\]\.checked"),
+    (T + (2, "clear_stack"), "true", T_AT + r"\[2\]\.clear_stack"),
+    (T + (0, "event"), "swipe", T_AT + r"\[0\]\.event"),
+    (T + (0, "increment"), 3, T_AT + r"\[0\]\.increment"),
+    (("activities", 0, "scenes", 1, "transitions", 0, "guard", 0, "filled"), 1, r"guard\[0\]\.filled"),
+    (("activities", 0, "directly_launchable"), "no", r"model\.activities\[0\]\.directly_launchable"),
+    (("activities", 0, "declared"), 0, r"model\.activities\[0\]\.declared"),
+    (("activities", 0, "scenes", 1), 5, r"model\.activities\[0\]\.scenes\[1\]"),
+    (("activities", 1, "required_extras"), [["k", "FLOAT"]], r"model\.activities\[1\]\.required_extras\[0\]"),
+    (("seed_atg", 0, 2), "SWIPE", r"model\.seed_atg\[0\]\.event"),
+]
+
+
+@pytest.mark.parametrize("path, value, where", BAD_FIELDS, ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_FIELDS])
+def test_mistyped_field_is_schema_error_naming_path(path, value, where):
+    doc = json.loads(json.dumps(MODEL))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError, match=where):
+        parse_app_model(doc)
+
+
 class TestSession:
     def test_launch_failures(self):
         model = parse_app_model(json.loads(json.dumps(MODEL)))
@@ -180,31 +220,33 @@ class TestSession:
         assert f"{PKG}:id/lbl_hint" in driver.current_dump()[0]
 
     def test_tap_scene_navigation_and_back(self, driver):
-        out = driver.tap(sel("btn_about"))
-        assert out.navigated and out.scene == "about"
-        assert f"{PKG}:id/lbl_about" in driver.current_dump()[0]
-        back = driver.press_back()
-        assert back.navigated and back.scene == "entry"
+        driver.tap(sel("btn_about"))
+        raw, activity = driver.current_dump()
+        assert activity == "MainActivity" and f"{PKG}:id/lbl_about" in raw
+        driver.press_back()
+        raw, activity = driver.current_dump()
+        assert activity == "MainActivity" and f"{PKG}:id/lbl_title" in raw
 
     def test_tap_activity_navigation(self, driver):
-        out = driver.tap(sel("btn_detail"))
-        assert out.navigated and out.activity == "DetailActivity"
+        driver.tap(sel("btn_detail"))
+        assert f"{PKG}:id/lbl_detail" in driver.current_dump()[0]
         assert driver.current_dump()[1] == "DetailActivity"
         driver.press_back()
         assert driver.current_dump()[1] == "MainActivity"
 
     def test_back_past_root_exits_app(self, driver):
-        out = driver.press_back()
-        assert out.note == "app exited"
+        driver.press_back()
         assert not driver.running
 
     def test_guarded_transition(self, driver):
         driver.tap(sel("btn_about"))
-        assert not driver.tap(sel("btn_secret")).navigated
+        driver.tap(sel("btn_secret"))
+        assert f"{PKG}:id/lbl_about" in driver.current_dump()[0]
         driver.press_back()
         driver.set_text(sel("ed_name"), "alice")
         driver.tap(sel("btn_about"))
-        assert driver.tap(sel("btn_secret")).scene == "secret"
+        driver.tap(sel("btn_secret"))
+        assert f"{PKG}:id/lbl_secret" in driver.current_dump()[0]
 
     def test_tap_checkable_toggles(self, driver):
         driver.tap(sel("sw_dark"))
@@ -216,7 +258,8 @@ class TestSession:
         driver.tap(sel("btn_about"))
         driver.press_back()
         driver.tap(sel("btn_reset"))
-        assert driver.press_back().note == "app exited"
+        driver.press_back()
+        assert not driver.running
 
     def test_relaunch_resets_widget_state(self, driver):
         driver.set_text(sel("ed_name"), "alice")
