@@ -1,4 +1,4 @@
-"""Activity and scene transition graphs: storage, caller queries, exports, metrics."""
+"""Activity and scene transition graphs: storage, caller queries, exports, metrics, stored-run reading."""
 
 from __future__ import annotations
 
@@ -207,7 +207,7 @@ def read_json(path: Path, kind: type):
     """A stored run's JSON file whose top level must be a `kind`; CorruptRun otherwise."""
     try:
         value = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise CorruptRun(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(value, kind):
         raise CorruptRun(f"{path}: top level must be a JSON {kind.__name__}")

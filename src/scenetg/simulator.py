@@ -31,16 +31,11 @@ class LaunchReason(str, Enum):
 
 @dataclass(frozen=True)
 class LaunchResult:
-    success: bool
     reason: LaunchReason
 
-    @classmethod
-    def ok(cls):
-        return cls(True, LaunchReason.OK)
-
-    @classmethod
-    def fail(cls, reason: LaunchReason):
-        return cls(False, reason)
+    @property
+    def success(self) -> bool:
+        return self.reason is LaunchReason.OK
 
 
 @dataclass(frozen=True)
@@ -130,32 +125,47 @@ class AppModel:
 # Model loading / validation
 
 
-_ABSENT = object()
+# The exact type of each field a model object may carry (so a bool is no int).
+_MODEL_TYPES = {"package": str, "activities": list, "seed_atg": list}
+_ACTIVITY_TYPES = {"name": str, "scenes": list, "directly_launchable": bool, "declared": bool, "required_extras": list}
+_SCENE_TYPES = {"name": str, "widgets": list, "transitions": list}
+_WIDGET_TYPES = {
+    "id": str,
+    "class": str,
+    "rid": str,
+    "text": str,
+    "clickable": bool,
+    "checkable": bool,
+    "checked": bool,
+    "input_type": str,
+    "repeat": int,
+    "children": list,
+}
+_TRANSITION_TYPES = {"widget": str, "event": str, "increment": str, "clear_stack": bool}
+_CONDITION_TYPES = {"widget": str, "checked": bool, "filled": bool}
+_SET_TEXT_TYPES = {"widget": str, "value": str}
+_FAILURE_REASONS = [r.value for r in LaunchReason if r is not LaunchReason.OK]
 
 
-def _object(obj, where: str) -> dict:
+def _typed(obj, where: str, types: dict, required: tuple = ()) -> dict:
+    """`obj` checked to be an object with its `required` keys and every present field of its type."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected object")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{where}: missing required field {key!r}")
+    for key, value in obj.items():
+        kind = types.get(key)
+        if kind is not None and type(value) is not kind:
+            raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return obj
 
 
-def _field(obj: dict, key: str, kind: type, where: str, default=_ABSENT):
-    """obj[key], whose type must be exactly `kind` (so a bool is no int); an absent key takes `default`."""
-    value = obj.get(key, _ABSENT)
-    if value is _ABSENT:
-        if default is _ABSENT:
-            raise SchemaError(f"{where}: missing required field {key!r}")
-        return default
-    if type(value) is not kind:
-        raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _parse_condition(obj, where: str) -> Condition:
-    widget = _field(_object(obj, where), "widget", str, where)
+    _typed(obj, where, _CONDITION_TYPES, ("widget",))
     for prop in ("checked", "filled"):
         if prop in obj:
-            return Condition(widget, prop, _field(obj, prop, bool, where))
+            return Condition(obj["widget"], prop, obj[prop])
     raise SchemaError(f"{where}: condition needs 'checked' or 'filled'")
 
 
@@ -170,23 +180,20 @@ def _parse_conditions(obj, where: str) -> list[Condition]:
 
 
 def _parse_widget(obj, where: str) -> WidgetModel:
-    wid = _field(_object(obj, where), "id", str, where)
-    cls = _field(obj, "class", str, where)
-    repeat = _field(obj, "repeat", int, where, 1)
+    _typed(obj, where, _WIDGET_TYPES, ("id", "class"))
+    repeat = obj.get("repeat", 1)
     if repeat < 0:
         raise SchemaError(f"{where}.repeat: must be >= 0, got {repeat}")
-    children = [
-        _parse_widget(c, f"{where}.children[{i}]") for i, c in enumerate(_field(obj, "children", list, where, []))
-    ]
+    children = [_parse_widget(c, f"{where}.children[{i}]") for i, c in enumerate(obj.get("children", []))]
     return WidgetModel(
-        id=wid,
-        widget_class=cls,
-        rid=_field(obj, "rid", str, where, None),
-        text=_field(obj, "text", str, where, ""),
-        clickable=_field(obj, "clickable", bool, where, False),
-        checkable=_field(obj, "checkable", bool, where, False),
-        checked=_field(obj, "checked", bool, where, False),
-        input_type=_field(obj, "input_type", str, where, None),
+        id=obj["id"],
+        widget_class=obj["class"],
+        rid=obj.get("rid"),
+        text=obj.get("text", ""),
+        clickable=obj.get("clickable", False),
+        checkable=obj.get("checkable", False),
+        checked=obj.get("checked", False),
+        input_type=obj.get("input_type"),
         repeat=repeat,
         visible_when=_parse_conditions(obj.get("visible_when"), f"{where}.visible_when"),
         children=children,
@@ -194,8 +201,8 @@ def _parse_widget(obj, where: str) -> WidgetModel:
 
 
 def _parse_transition(obj, where: str) -> TransitionModel:
-    widget = _field(_object(obj, where), "widget", str, where)
-    if _field(obj, "event", str, where, "tap") != "tap":
+    _typed(obj, where, _TRANSITION_TYPES, ("widget",))
+    if obj.get("event", "tap") != "tap":
         raise SchemaError(f"{where}.event: only 'tap' is supported, got {obj['event']!r}")
     target = None
     if obj.get("target") is not None:
@@ -208,16 +215,15 @@ def _parse_transition(obj, where: str) -> TransitionModel:
         target = (kind, name)
     set_text = None
     if obj.get("set_text") is not None:
-        sw = f"{where}.set_text"
-        st = _object(obj["set_text"], sw)
-        set_text = (_field(st, "widget", str, sw), _field(st, "value", str, sw))
+        st = _typed(obj["set_text"], f"{where}.set_text", _SET_TEXT_TYPES, ("widget", "value"))
+        set_text = (st["widget"], st["value"])
     return TransitionModel(
-        widget=widget,
+        widget=obj["widget"],
         guard=_parse_conditions(obj.get("guard"), f"{where}.guard"),
         target=target,
         set_text=set_text,
-        increment=_field(obj, "increment", str, where, None),
-        clear_stack=_field(obj, "clear_stack", bool, where, False),
+        increment=obj.get("increment"),
+        clear_stack=obj.get("clear_stack", False),
     )
 
 
@@ -268,40 +274,36 @@ def _validate_activity(activity: ActivityModel, model: AppModel, where: str) -> 
 
 
 def parse_app_model(doc: dict) -> AppModel:
-    package = _field(doc, "package", str, "model")
-    raw_acts = _field(doc, "activities", list, "model")
+    _typed(doc, "model", _MODEL_TYPES, ("package", "activities"))
+    raw_acts = doc["activities"]
     if not raw_acts:
         raise SchemaError("model.activities: must not be empty")
     activities = []
     seen = set()
     for i, raw in enumerate(raw_acts):
         where = f"model.activities[{i}]"
-        name = _field(_object(raw, where), "name", str, where)
+        name = _typed(raw, where, _ACTIVITY_TYPES, ("name", "scenes"))["name"]
         if name in seen:
             raise SchemaError(f"{where}.name: duplicate activity {name!r}")
         seen.add(name)
-        raw_scenes = _field(raw, "scenes", list, where)
+        raw_scenes = raw["scenes"]
         if not raw_scenes:
             raise SchemaError(f"{where}.scenes: activity needs an entry scene")
         scenes = []
         for j, rs in enumerate(raw_scenes):
             sw = f"{where}.scenes[{j}]"
-            sname = _field(_object(rs, sw), "name", str, sw)
-            raw_widgets = _field(rs, "widgets", list, sw, [])
-            widgets = [_parse_widget(w, f"{sw}.widgets[{k}]") for k, w in enumerate(raw_widgets)]
+            _typed(rs, sw, _SCENE_TYPES, ("name",))
+            widgets = [_parse_widget(w, f"{sw}.widgets[{k}]") for k, w in enumerate(rs.get("widgets", []))]
             transitions = [
                 _parse_transition(t, f"{sw}.transitions[{k}]")
-                for k, t in enumerate(_field(rs, "transitions", list, sw, []))
+                for k, t in enumerate(rs.get("transitions", []))
             ]
-            scenes.append(SceneModel(sname, widgets, transitions))
-        launch_failure = None
-        if raw.get("launch_failure") is not None:
-            try:
-                launch_failure = LaunchReason(raw["launch_failure"])
-            except ValueError:
-                raise SchemaError(f"{where}.launch_failure: unknown reason {raw['launch_failure']!r}") from None
+            scenes.append(SceneModel(rs["name"], widgets, transitions))
+        failure = raw.get("launch_failure")
+        if failure is not None and failure not in _FAILURE_REASONS:
+            raise SchemaError(f"{where}.launch_failure: unknown failure reason {failure!r}")
         extras = []
-        for k, pair in enumerate(_field(raw, "required_extras", list, where, [])):
+        for k, pair in enumerate(raw.get("required_extras", [])):
             if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
                 raise SchemaError(f"{where}.required_extras[{k}]: expected [key, type] strings")
             if pair[1] not in ExtraType.__members__:
@@ -311,14 +313,14 @@ def parse_app_model(doc: dict) -> AppModel:
             ActivityModel(
                 name=name,
                 scenes=scenes,
-                directly_launchable=_field(raw, "directly_launchable", bool, where, True),
-                declared=_field(raw, "declared", bool, where, True),
-                launch_failure=launch_failure,
+                directly_launchable=raw.get("directly_launchable", True),
+                declared=raw.get("declared", True),
+                launch_failure=LaunchReason(failure) if failure is not None else None,
                 required_extras=extras,
             )
         )
     seed_atg = []
-    for i, raw in enumerate(_field(doc, "seed_atg", list, "model", [])):
+    for i, raw in enumerate(doc.get("seed_atg", [])):
         where = f"model.seed_atg[{i}]"
         if isinstance(raw, dict):
             entry = (raw.get("caller"), raw.get("callee"), raw.get("event", "TAP"), raw.get("component"))
@@ -335,7 +337,7 @@ def parse_app_model(doc: dict) -> AppModel:
         if entry[1] not in seen:
             raise DanglingReference(f"{where}.callee: activity {entry[1]!r} not declared")
         seed_atg.append(entry)
-    model = AppModel(package=package, activities=activities, seed_atg=seed_atg)
+    model = AppModel(package=doc["package"], activities=activities, seed_atg=seed_atg)
     for i, act in enumerate(model.activities):
         _validate_activity(act, model, f"model.activities[{i}]")
     return model
@@ -398,9 +400,8 @@ class _Frame:
 class SimulatorSession:
     """One deterministic app session; operations are strictly sequential."""
 
-    def __init__(self, model: AppModel, seed: int = 0):
+    def __init__(self, model: AppModel):
         self.model = model
-        self.seed = seed
         self._stack: list[_Frame] = []
         self._shots = 0
 
@@ -413,20 +414,20 @@ class SimulatorSession:
     def launch_activity(self, icc: IccMessage) -> LaunchResult:
         activity = self.model.activity(icc.target_activity)
         if activity is None or not activity.declared:
-            return LaunchResult.fail(LaunchReason.UNDECLARED)
+            return LaunchResult(LaunchReason.UNDECLARED)
         if not activity.directly_launchable:
-            return LaunchResult.fail(activity.launch_failure or LaunchReason.NOT_EXPORTED)
+            return LaunchResult(activity.launch_failure or LaunchReason.NOT_EXPORTED)
         supplied = {key: (extra_type, value) for key, extra_type, value in icc.extras}
         for key, type_name in activity.required_extras:
             expected = ExtraType(type_name)
             if key not in supplied:
-                return LaunchResult.fail(LaunchReason.MISSING_EXTRA)
+                return LaunchResult(LaunchReason.MISSING_EXTRA)
             got_type, value = supplied[key]
             if got_type is not expected or not _EXTRA_FORMATS[expected].match(value):
-                return LaunchResult.fail(LaunchReason.WRONG_TYPE)
+                return LaunchResult(LaunchReason.WRONG_TYPE)
         # A direct launch starts a fresh task: widget states reset per visit.
         self._stack = [_Frame(_ActivityInstance(activity), activity.entry_scene.name)]
-        return LaunchResult.ok()
+        return LaunchResult(LaunchReason.OK)
 
     def current_dump(self) -> tuple[str, str]:
         frame = self._top()
@@ -570,5 +571,5 @@ class SimulatorSession:
 
 
 def simulate(model: AppModel, seed: int = 0) -> SimulatorSession:
-    """Fresh session at the 'no app running' state."""
-    return SimulatorSession(model, seed=seed)
+    """Fresh session at the 'no app running' state; the simulator is deterministic, so `seed` is unused."""
+    return SimulatorSession(model)

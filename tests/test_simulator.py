@@ -177,6 +177,8 @@ BAD_FIELDS = [
     (("activities", 0, "scenes", 1), 5, r"model\.activities\[0\]\.scenes\[1\]"),
     (("activities", 1, "required_extras"), [["k", "FLOAT"]], r"model\.activities\[1\]\.required_extras\[0\]"),
     (("seed_atg", 0, 2), "SWIPE", r"model\.seed_atg\[0\]\.event"),
+    (("activities", 1, "launch_failure"), "OK", r"model\.activities\[1\]\.launch_failure"),
+    (("activities", 1, "launch_failure"), ["NOT_EXPORTED"], r"model\.activities\[1\]\.launch_failure"),
 ]
 
 
