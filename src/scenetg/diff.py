@@ -137,7 +137,7 @@ class RunSnapshot:
     def load(cls, directory) -> "RunSnapshot":
         directory = Path(directory)
         doc = read_run_document(directory)
-        paths = read_json(directory / "paths.json", dict)
+        paths = read_json(directory / "paths.json")
         trees = {}
         for scene in doc["scenes"]:
             layout = directory / scene["layout_ref"]

@@ -203,21 +203,21 @@ _ENTRY_FIELDS = {
 }
 
 
-def read_json(path: Path, kind: type):
-    """A stored run's JSON file whose top level must be a `kind`; CorruptRun otherwise."""
+def read_json(path: Path) -> dict:
+    """A stored run's JSON file, whose top level must be an object; CorruptRun otherwise."""
     try:
         value = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise CorruptRun(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(value, kind):
-        raise CorruptRun(f"{path}: top level must be a JSON {kind.__name__}")
+    if not isinstance(value, dict):
+        raise CorruptRun(f"{path}: top level must be a JSON object")
     return value
 
 
 def read_run_document(directory) -> dict:
     """The scenetg.json document of an explore output directory, with every field its readers use."""
     path = Path(directory) / "scenetg.json"
-    doc = read_json(path, dict)
+    doc = read_json(path)
     for key, kind in _DOCUMENT_FIELDS.items():
         if not isinstance(doc.get(key), kind):
             raise CorruptRun(f"{path}: {key}: missing or not a {kind.__name__}")
