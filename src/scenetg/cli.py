@@ -35,7 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_seed() -> int:
     env = os.environ.get("SCENETG_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise CliError(f"SCENETG_SEED must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,13 +78,16 @@ def _cmd_explore(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     seed = args.seed if args.seed is not None else _default_seed()
-    config = ExplorationConfig(
-        dynamic_timeout=args.dynamic_timeout,
-        rng_seed=seed,
-        enable_fuzzing=not args.no_fuzzing,
-        enable_indirect=not args.no_indirect,
-        enable_scene_id=not args.no_scene_id,
-    )
+    try:
+        config = ExplorationConfig(
+            dynamic_timeout=args.dynamic_timeout,
+            rng_seed=seed,
+            enable_fuzzing=not args.no_fuzzing,
+            enable_indirect=not args.no_indirect,
+            enable_scene_id=not args.no_scene_id,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     driver = simulate(model, seed=seed)
     result = explore(model, driver, config, out_dir=args.out)
     write_outputs(result, args.out, model.package)

@@ -21,7 +21,7 @@ from .layout import (
     bfs_nodes,
     find_clickable,
     match_component,
-    parse_hierarchy_dump,
+    serialize_tree,
 )
 
 
@@ -36,7 +36,7 @@ class ExplorationConfig:
     max_depth_per_activity: int = 20
 
     def __post_init__(self):
-        if self.dynamic_timeout <= 0:
+        if not self.dynamic_timeout > 0:  # also rejects NaN, which would never time out
             raise ValueError("dynamic_timeout must be positive")
         if self.fuzz_component_cap < 0:
             raise ValueError("fuzz_component_cap must be >= 0")
@@ -120,9 +120,7 @@ def apply_assignment(driver, assignment):
     events = []
     missing = []
     for selector, kind, value in assignment:
-        raw, activity = driver.current_dump()
-        tree = parse_hierarchy_dump(raw, activity)
-        node = match_component(tree, selector)
+        node = match_component(driver.current_tree(), selector)
         if node is None:
             missing.append(selector)
             continue
@@ -201,30 +199,25 @@ class Explorer:
             }
         )
 
-    def _state_key(self, tree: ComponentTree, raw: str) -> str:
+    def _state_key(self, tree: ComponentTree) -> str:
         if self.config.enable_scene_id:
             return identity.scene_id(tree, self.package)
-        return identity.raw_state_id(raw)
+        return identity.raw_state_id(serialize_tree(tree))
 
-    def _record_scene(self, tree: ComponentTree, raw: str, path: list) -> str:
-        sid = self._state_key(tree, raw)
+    def _record_scene(self, tree: ComponentTree, path: list) -> str:
+        sid = self._state_key(tree)
         if sid in self.scenetg.nodes:
             return sid
         layout_ref = f"layouts/{sid}.xml"
         if self.out_dir:
             layout_path = self.out_dir / layout_ref
             layout_path.parent.mkdir(parents=True, exist_ok=True)
-            layout_path.write_text(raw, encoding="utf-8")
+            layout_path.write_text(serialize_tree(tree), encoding="utf-8")
         shot = self.driver.screenshot_ref()
         self.scenetg.add_node(sid, tree.source_activity, layout_ref, shot)
         self.paths[sid] = [[event.value, selector.describe()] for event, selector, _ in path]
         self._record("discover", tree.source_activity, sid, outcome="new scene")
         return sid
-
-    def _current_tree(self) -> tuple[ComponentTree, str, str]:
-        raw, activity = self.driver.current_dump()
-        tree = parse_hierarchy_dump(raw, activity)
-        return tree, raw, activity
 
     # -- launching -----------------------------------------------------------
 
@@ -253,21 +246,22 @@ class Explorer:
         head = self.model.activity(chain[0])
         if head is None or not self._try_direct(head):
             return False
-        tree, raw, _ = self._current_tree()
-        src_sid = self._record_scene(tree, raw, [])
+        src_sid = self._record_scene(self.driver.current_tree(), [])
         for a, b in zip(chain, chain[1:]):
             self._check_timeout()
             event, component = self.atg.edge_action(a, b)
-            tree, raw, activity = self._current_tree()
+            tree = self.driver.current_tree()
+            activity = tree.source_activity
             if match_component(tree, component) is None:
                 self._record("replay", activity, src_sid, component.describe(), "component missing")
                 return False
             self.driver.tap(component)
-            ntree, nraw, nact = self._current_tree()
+            ntree = self.driver.current_tree()
+            nact = ntree.source_activity
             self._record("tap", activity, src_sid, component.describe(), f"replay -> {nact}")
             if nact != b:
                 return False
-            dst_sid = self._record_scene(ntree, nraw, [])
+            dst_sid = self._record_scene(ntree, [])
             self.atg.add_edge(ActivityEdge(a, b, event, component))
             self.scenetg.add_edge(SceneEdge(src_sid, dst_sid, event, component))
             src_sid = dst_sid
@@ -299,10 +293,9 @@ class Explorer:
     # -- exploration ---------------------------------------------------------
 
     def _explore_act(self, act) -> None:
-        tree, raw, _ = self._current_tree()
         if self.config.enable_fuzzing:
             assignments = fuzz_assignments(
-                tree, self.config, self.package, input_type_lookup=self._input_type_of
+                self.driver.current_tree(), self.config, self.package, input_type_lookup=self._input_type_of
             )
         else:
             assignments = [[]]
@@ -333,8 +326,9 @@ class Explorer:
         return events, missing
 
     def _explore_scene(self, run: _RunCtx, depth: int, path: list) -> None:
-        tree, raw, activity = self._current_tree()
-        sid = self._record_scene(tree, raw, path)
+        tree = self.driver.current_tree()
+        activity = tree.source_activity
+        sid = self._record_scene(tree, path)
         if sid in run.expanded or depth >= self.config.max_depth_per_activity:
             return
         run.expanded.add(sid)
@@ -343,20 +337,21 @@ class Explorer:
             self._check_timeout()
             selector = _selector_for(node)
             self.driver.tap(selector)
-            ntree, nraw, nact = self._current_tree()
+            ntree = self.driver.current_tree()
+            nact = ntree.source_activity
             if nact != activity:
-                nsid = self._record_scene(ntree, nraw, [])
+                nsid = self._record_scene(ntree, [])
                 self.atg.add_edge(ActivityEdge(activity, nact, EventKind.TAP, selector))
                 self.scenetg.add_edge(SceneEdge(sid, nsid, EventKind.TAP, selector))
                 self._record("tap", activity, sid, selector.describe(), f"activity -> {nact}")
                 self._restore(run, activity, sid, path)
             else:
-                nsid = self._state_key(ntree, nraw)
+                nsid = self._state_key(ntree)
                 if nsid == sid:
                     self._record("tap", activity, sid, selector.describe(), "no scene change")
                     continue
                 step = (EventKind.TAP, selector, None)
-                self._record_scene(ntree, nraw, path + [step])
+                self._record_scene(ntree, path + [step])
                 self.scenetg.add_edge(SceneEdge(sid, nsid, EventKind.TAP, selector))
                 self._record("tap", activity, sid, selector.describe(), f"scene -> {nsid[:8]}")
                 self._explore_scene(run, depth + 1, path + [step])
@@ -367,11 +362,11 @@ class Explorer:
         for _ in range(self.config.max_depth_per_activity + 2):
             if not self.driver.running:
                 break
-            tree, raw, activity = self._current_tree()
-            if activity == act_name and self._state_key(tree, raw) == sid:
+            tree = self.driver.current_tree()
+            if tree.source_activity == act_name and self._state_key(tree) == sid:
                 return
             self.driver.press_back()
-            self._record("back", activity, outcome="rollback")
+            self._record("back", tree.source_activity, outcome="rollback")
         if not self._relaunch(act_name):
             raise DriverError(f"cannot restore {act_name}: relaunch failed")
         self._apply_assignment(act_name, run.assignment)
@@ -383,8 +378,8 @@ class Explorer:
             elif event is EventKind.TOGGLE:
                 self.driver.toggle(selector)
             self._record(event.value.lower(), act_name, selector=selector.describe(), outcome="replay")
-        tree, raw, activity = self._current_tree()
-        if activity != act_name or self._state_key(tree, raw) != sid:
+        tree = self.driver.current_tree()
+        if tree.source_activity != act_name or self._state_key(tree) != sid:
             raise DriverError(f"cannot restore scene {sid[:8]} of {act_name}")
 
     # -- top level (the smart dynamic analysis loop) --------------------------

@@ -68,7 +68,6 @@ class ComponentNode:
 class ComponentTree:
     root: ComponentNode
     source_activity: str
-    raw: str
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
         root_elem = node_elems[0]
     elif root_elem.tag != "node":
         raise ParseError(f"unexpected root element {root_elem.tag!r}")
-    return ComponentTree(root=_node_from_element(root_elem, 0), source_activity=source_activity, raw=text)
+    return ComponentTree(root=_node_from_element(root_elem, 0), source_activity=source_activity)
 
 
 def _render_node(node: ComponentNode, out: list, depth: int) -> None:

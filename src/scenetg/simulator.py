@@ -2,7 +2,7 @@
 
 An AppModel is a declarative JSON description of a mock app: activities, their
 scenes, widgets (with optional visibility conditions), and guarded transitions.
-A session renders hierarchy dumps from the current scene and widget states, so
+A session renders component trees from the current scene and widget states, so
 exploration runs byte-identically for a fixed (model, seed).
 """
 
@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import DanglingReference, DriverError, SchemaError, SelectorNotFound
 from .graphs import EventKind
 from .icc import ExtraType, IccMessage
-from .layout import Bounds, ComponentNode, ComponentTree, Selector, serialize_tree
+from .layout import Bounds, ComponentNode, ComponentTree, Selector, bfs_nodes
 
 
 class LaunchReason(str, Enum):
@@ -179,12 +179,16 @@ def _parse_conditions(obj, where: str) -> list[Condition]:
     return [_parse_condition(c, f"{where}[{i}]") for i, c in enumerate(obj)]
 
 
-def _parse_widget(obj, where: str) -> WidgetModel:
+def _parse_widget(obj, where: str, seen: set) -> WidgetModel:
+    """One widget; `seen` holds the ids taken so far in its activity, which keeps one state slot per id."""
     _typed(obj, where, _WIDGET_TYPES, ("id", "class"))
+    if obj["id"] in seen:
+        raise SchemaError(f"{where}.id: duplicate widget id {obj['id']!r} in activity")
+    seen.add(obj["id"])
     repeat = obj.get("repeat", 1)
     if repeat < 0:
         raise SchemaError(f"{where}.repeat: must be >= 0, got {repeat}")
-    children = [_parse_widget(c, f"{where}.children[{i}]") for i, c in enumerate(obj.get("children", []))]
+    children = [_parse_widget(c, f"{where}.children[{i}]", seen) for i, c in enumerate(obj.get("children", []))]
     return WidgetModel(
         id=obj["id"],
         widget_class=obj["class"],
@@ -289,11 +293,11 @@ def parse_app_model(doc: dict) -> AppModel:
         raw_scenes = raw["scenes"]
         if not raw_scenes:
             raise SchemaError(f"{where}.scenes: activity needs an entry scene")
-        scenes = []
+        scenes, widget_ids = [], set()
         for j, rs in enumerate(raw_scenes):
             sw = f"{where}.scenes[{j}]"
             _typed(rs, sw, _SCENE_TYPES, ("name",))
-            widgets = [_parse_widget(w, f"{sw}.widgets[{k}]") for k, w in enumerate(rs.get("widgets", []))]
+            widgets = [_parse_widget(w, f"{sw}.widgets[{k}]", widget_ids) for k, w in enumerate(rs.get("widgets", []))]
             transitions = [
                 _parse_transition(t, f"{sw}.transitions[{k}]")
                 for k, t in enumerate(rs.get("transitions", []))
@@ -429,14 +433,12 @@ class SimulatorSession:
         self._stack = [_Frame(_ActivityInstance(activity), activity.entry_scene.name)]
         return LaunchResult(LaunchReason.OK)
 
-    def current_dump(self) -> tuple[str, str]:
-        frame = self._top()
-        tree = self._render(frame)
-        return tree.raw, frame.instance.model.name
+    def current_tree(self) -> ComponentTree:
+        return self._render(self._top())[0]
 
     def tap(self, selector: Selector) -> None:
         frame = self._top()
-        widget = self._find_widget(frame, selector)
+        widget = self._resolve(frame, selector)
         for tr in frame.instance.model.scene(frame.scene_name).transitions:
             if tr.widget == widget.id and all(frame.instance.holds(c) for c in tr.guard):
                 self._fire(frame, tr)
@@ -445,12 +447,12 @@ class SimulatorSession:
 
     def set_text(self, selector: Selector, value: str) -> None:
         frame = self._top()
-        widget = self._find_widget(frame, selector)
+        widget = self._resolve(frame, selector)
         frame.instance.states[widget.id]["text"] = value
 
     def toggle(self, selector: Selector) -> None:
         frame = self._top()
-        self._flip(frame, self._find_widget(frame, selector))
+        self._flip(frame, self._resolve(frame, selector))
 
     def press_back(self) -> None:
         if self._stack:
@@ -464,7 +466,7 @@ class SimulatorSession:
     def input_type_of(self, selector: Selector) -> Optional[str]:
         frame = self._top()
         try:
-            widget = self._find_widget(frame, selector)
+            widget = self._resolve(frame, selector)
         except SelectorNotFound:
             return None
         return widget.input_type
@@ -512,9 +514,8 @@ class SimulatorSession:
                 out.extend([w] * max(1, w.repeat))
         return out
 
-    def _render_widget(self, widget: WidgetModel, instance: _ActivityInstance, index: int, counter: list) -> ComponentNode:
-        k = counter[0]
-        counter[0] += 1
+    def _render_widget(self, widget: WidgetModel, instance: _ActivityInstance, index: int, owners: dict) -> ComponentNode:
+        k = len(owners) + 1  # preorder position: each widget node gets its own 100 px row
         st = instance.states[widget.id]
         node = ComponentNode(
             widget_class=widget.widget_class,
@@ -528,13 +529,15 @@ class SimulatorSession:
             enabled=True,
             index=index,
         )
+        owners[id(node)] = widget
         for i, child in enumerate(self._visible_widgets(widget.children, instance)):
-            node.children.append(self._render_widget(child, instance, i, counter))
+            node.children.append(self._render_widget(child, instance, i, owners))
         return node
 
-    def _render(self, frame: _Frame) -> ComponentTree:
+    def _render(self, frame: _Frame) -> tuple[ComponentTree, dict[int, WidgetModel]]:
+        """A fresh tree of the frame's page, and the widget model behind each node (keyed by `id(node)`)."""
         scene = frame.instance.model.scene(frame.scene_name)
-        counter = [1]
+        owners: dict[int, WidgetModel] = {}
         root = ComponentNode(
             widget_class="android.widget.FrameLayout",
             package=self.model.package,
@@ -544,29 +547,16 @@ class SimulatorSession:
             index=0,
         )
         for i, w in enumerate(self._visible_widgets(scene.widgets, frame.instance)):
-            root.children.append(self._render_widget(w, frame.instance, i, counter))
-        tree = ComponentTree(root=root, source_activity=frame.instance.model.name, raw="")
-        tree.raw = serialize_tree(tree)
-        return tree
+            root.children.append(self._render_widget(w, frame.instance, i, owners))
+        return ComponentTree(root=root, source_activity=frame.instance.model.name), owners
 
-    def _find_widget(self, frame: _Frame, selector: Selector) -> WidgetModel:
-        scene = frame.instance.model.scene(frame.scene_name)
-
-        def walk(widgets):
-            for w in self._visible_widgets(widgets, frame.instance):
-                if selector.resource_id is not None and self._resource_id(w.rid or w.id) == selector.resource_id:
-                    if selector.widget_class is None or w.widget_class == selector.widget_class:
-                        return w
-                elif selector.resource_id is None and selector.widget_class == w.widget_class:
-                    return w
-                found = walk(w.children)
-                if found:
-                    return found
-            return None
-
-        widget = walk(scene.widgets)
+    def _resolve(self, frame: _Frame, selector: Selector) -> WidgetModel:
+        """The widget behind the first BFS node the selector matches: the node `match_component` picks."""
+        tree, owners = self._render(frame)
+        node = next((n for n in bfs_nodes(tree, self.model.package) if selector.matches(n)), None)
+        widget = owners.get(id(node))
         if widget is None:
-            raise SelectorNotFound(f"{selector.describe()!r} not on scene {scene.name!r}")
+            raise SelectorNotFound(f"{selector.describe()!r} not on scene {frame.scene_name!r}")
         return widget
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from scenetg import ExplorationConfig, benchmark_path, explore, write_outputs
 from scenetg.identity import scene_id
-from scenetg.layout import Bounds, ComponentNode, ComponentTree, parse_hierarchy_dump, serialize_tree
+from scenetg.layout import Bounds, ComponentNode, ComponentTree, parse_hierarchy_dump
 from scenetg.simulator import load_app_model, simulate
 
 PKG = "com.example.app"
@@ -21,9 +21,7 @@ def make_node(rid="", cls="android.view.View", package=PKG, children=(), **kw):
 
 
 def make_tree(root, activity="MainActivity"):
-    tree = ComponentTree(root=root, source_activity=activity, raw="")
-    tree.raw = serialize_tree(tree)
-    return tree
+    return ComponentTree(root=root, source_activity=activity)
 
 
 class _RunCache:

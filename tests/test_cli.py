@@ -54,6 +54,20 @@ class TestExplore:
         assert code == EXIT_OK
         assert json.loads((out / "report.json").read_text())["seed"] == 3
 
+    @pytest.mark.parametrize("timeout", ["0", "-5", "nan"])
+    def test_non_positive_timeout_is_usage_error(self, tmp_path, capsys, timeout):
+        code, out = explore_to(tmp_path, "app10.json", "--dynamic-timeout", timeout)
+        assert code == EXIT_USAGE
+        assert "dynamic_timeout" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_seed_env_var_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SCENETG_SEED", "abc")
+        code, out = explore_to(tmp_path, "app10.json")
+        assert code == EXIT_USAGE
+        assert "SCENETG_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablation_flags_recorded_in_report(self, tmp_path):
         code, out = explore_to(tmp_path, "guarded.json", "--no-fuzzing")
         assert code == EXIT_OK

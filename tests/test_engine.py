@@ -12,7 +12,7 @@ from scenetg.engine import (
     non_transitive_kind,
 )
 from scenetg.icc import IccMessage
-from scenetg.layout import Selector
+from scenetg.layout import Selector, serialize_tree
 from scenetg.simulator import simulate
 
 
@@ -82,8 +82,7 @@ class TestApplyAssignment:
         events, missing = apply_assignment(driver, assignment)
         assert [e[0].value for e in events] == ["SET_TEXT", "TOGGLE"]
         assert [s.resource_id for s in missing] == [f"{pkg}:id/sw_ghost"]
-        raw, _ = driver.current_dump()
-        assert 'text="hello"' in raw
+        assert 'text="hello"' in serialize_tree(driver.current_tree())
 
 
 class TestExploration:

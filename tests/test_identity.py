@@ -145,6 +145,5 @@ def test_raw_state_id_tracks_full_text():
     a = _base_tree()
     b = _base_tree()
     b.root.children[0].text = "Different"
-    b.raw = serialize_tree(b)
-    assert raw_state_id(a.raw) != raw_state_id(b.raw)
-    assert raw_state_id(a.raw) == raw_state_id(_base_tree().raw)
+    assert raw_state_id(serialize_tree(a)) != raw_state_id(serialize_tree(b))
+    assert raw_state_id(serialize_tree(a)) == raw_state_id(serialize_tree(_base_tree()))

@@ -5,7 +5,7 @@ import pytest
 from conftest import load_benchmark
 from scenetg.errors import DanglingReference, SchemaError, SelectorNotFound
 from scenetg.icc import IccMessage
-from scenetg.layout import Selector, parse_hierarchy_dump
+from scenetg.layout import Selector, parse_hierarchy_dump, serialize_tree
 from scenetg.simulator import LaunchReason, load_app_model, parse_app_model, simulate
 
 PKG = "com.fixture.sim"
@@ -13,6 +13,12 @@ PKG = "com.fixture.sim"
 
 def sel(wid):
     return Selector(resource_id=f"{PKG}:id/{wid}")
+
+
+def current_dump(driver):
+    """The current page as (xml, activity), the way a device driver receives it."""
+    tree = driver.current_tree()
+    return serialize_tree(tree), tree.source_activity
 
 
 MODEL = {
@@ -179,6 +185,7 @@ BAD_FIELDS = [
     (("seed_atg", 0, 2), "SWIPE", r"model\.seed_atg\[0\]\.event"),
     (("activities", 1, "launch_failure"), "OK", r"model\.activities\[1\]\.launch_failure"),
     (("activities", 1, "launch_failure"), ["NOT_EXPORTED"], r"model\.activities\[1\]\.launch_failure"),
+    (("activities", 0, "scenes", 1, "widgets", 0, "id"), "lbl_title", r"scenes\[1\]\.widgets\[0\]\.id: duplicate"),
 ]
 
 
@@ -203,38 +210,38 @@ class TestSession:
         assert d2.launch_activity(IccMessage("CalleeActivity")).reason is LaunchReason.NOT_EXPORTED
 
     def test_dump_is_parseable_and_stable(self, driver):
-        raw, activity = driver.current_dump()
+        raw, activity = current_dump(driver)
         assert activity == "MainActivity"
         tree = parse_hierarchy_dump(raw, activity)
         rids = [n.resource_id for n in tree.root.iter_subtree()]
         assert f"{PKG}:id/btn_about" in rids
-        assert raw == driver.current_dump()[0]
+        assert raw == current_dump(driver)[0]
 
     def test_repeat_renders_adapter_rows(self, driver):
-        raw, _ = driver.current_dump()
+        raw, _ = current_dump(driver)
         tree = parse_hierarchy_dump(raw, "MainActivity")
         rows = [n for n in tree.root.iter_subtree() if n.resource_id == f"{PKG}:id/row"]
         assert len(rows) == 3
 
     def test_visible_when_gates_rendering(self, driver):
-        assert f"{PKG}:id/lbl_hint" not in driver.current_dump()[0]
+        assert f"{PKG}:id/lbl_hint" not in current_dump(driver)[0]
         driver.toggle(sel("sw_dark"))
-        assert f"{PKG}:id/lbl_hint" in driver.current_dump()[0]
+        assert f"{PKG}:id/lbl_hint" in current_dump(driver)[0]
 
     def test_tap_scene_navigation_and_back(self, driver):
         driver.tap(sel("btn_about"))
-        raw, activity = driver.current_dump()
+        raw, activity = current_dump(driver)
         assert activity == "MainActivity" and f"{PKG}:id/lbl_about" in raw
         driver.press_back()
-        raw, activity = driver.current_dump()
+        raw, activity = current_dump(driver)
         assert activity == "MainActivity" and f"{PKG}:id/lbl_title" in raw
 
     def test_tap_activity_navigation(self, driver):
         driver.tap(sel("btn_detail"))
-        assert f"{PKG}:id/lbl_detail" in driver.current_dump()[0]
-        assert driver.current_dump()[1] == "DetailActivity"
+        assert f"{PKG}:id/lbl_detail" in current_dump(driver)[0]
+        assert current_dump(driver)[1] == "DetailActivity"
         driver.press_back()
-        assert driver.current_dump()[1] == "MainActivity"
+        assert current_dump(driver)[1] == "MainActivity"
 
     def test_back_past_root_exits_app(self, driver):
         driver.press_back()
@@ -243,16 +250,16 @@ class TestSession:
     def test_guarded_transition(self, driver):
         driver.tap(sel("btn_about"))
         driver.tap(sel("btn_secret"))
-        assert f"{PKG}:id/lbl_about" in driver.current_dump()[0]
+        assert f"{PKG}:id/lbl_about" in current_dump(driver)[0]
         driver.press_back()
         driver.set_text(sel("ed_name"), "alice")
         driver.tap(sel("btn_about"))
         driver.tap(sel("btn_secret"))
-        assert f"{PKG}:id/lbl_secret" in driver.current_dump()[0]
+        assert f"{PKG}:id/lbl_secret" in current_dump(driver)[0]
 
     def test_tap_checkable_toggles(self, driver):
         driver.tap(sel("sw_dark"))
-        tree = parse_hierarchy_dump(*driver.current_dump()[::1])
+        tree = parse_hierarchy_dump(*current_dump(driver)[::1])
         node = next(n for n in tree.root.iter_subtree() if n.resource_id == f"{PKG}:id/sw_dark")
         assert node.checked
 
@@ -266,9 +273,50 @@ class TestSession:
     def test_relaunch_resets_widget_state(self, driver):
         driver.set_text(sel("ed_name"), "alice")
         driver.launch_activity(IccMessage("MainActivity"))
-        tree = parse_hierarchy_dump(*driver.current_dump())
+        tree = parse_hierarchy_dump(*current_dump(driver))
         node = next(n for n in tree.root.iter_subtree() if n.resource_id == f"{PKG}:id/ed_name")
         assert node.text == ""
+
+    def test_returned_tree_is_not_changed_by_later_actions(self, driver):
+        tree = driver.current_tree()
+        before = serialize_tree(tree)
+        actions = [
+            lambda: driver.set_text(sel("ed_name"), "alice"),
+            lambda: driver.toggle(sel("sw_dark")),
+            lambda: driver.tap(sel("btn_about")),
+            lambda: driver.press_back(),
+        ]
+        for act in actions:
+            act()
+            assert serialize_tree(tree) == before
+        assert serialize_tree(driver.current_tree()) != before
+
+    def test_class_and_bounds_selector_honours_bounds(self):
+        button = "android.widget.Button"
+        doc = {
+            "package": PKG,
+            "activities": [
+                {
+                    "name": "MainActivity",
+                    "scenes": [
+                        {
+                            "name": "entry",
+                            "widgets": [
+                                {"id": "", "class": button, "clickable": True},
+                                {"id": "go", "class": button, "clickable": True},
+                            ],
+                            "transitions": [{"widget": "go", "target": "scene:next"}],
+                        },
+                        {"name": "next", "widgets": [{"id": "lbl_next", "class": "android.widget.TextView"}]},
+                    ],
+                }
+            ],
+        }
+        driver = simulate(parse_app_model(doc))
+        assert driver.launch_activity(IccMessage("MainActivity")).success
+        go = next(n for n in driver.current_tree().root.iter_subtree() if n.resource_id == f"{PKG}:id/go")
+        driver.tap(Selector(widget_class=button, bounds=go.bounds))
+        assert f"{PKG}:id/lbl_next" in current_dump(driver)[0]
 
     def test_selector_not_found(self, driver):
         with pytest.raises(SelectorNotFound):
@@ -286,6 +334,6 @@ class TestSession:
         driver = simulate(model)
         driver.launch_activity(IccMessage("MainActivity"))
         driver.toggle(Selector(resource_id="com.bench.app10:id/sw_a"))
-        raw, _ = driver.current_dump()
+        raw, _ = current_dump(driver)
         assert "com.bench.app10:id/overlay_panel" in raw
         assert "com.bench.app10:id/panel_a" not in raw
