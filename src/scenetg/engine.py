@@ -174,6 +174,10 @@ class Explorer:
         self.launch_methods: dict[str, tuple] = {}
         self.outcomes: dict[str, dict] = {}
         self._deadline = None
+        # (tree, key, xml) of the tree keyed last. A driver returns the same tree
+        # object until the page changes, and `_state_key` is asked for one page
+        # several times in a row. `xml` is the text the raw-state key hashed.
+        self._keyed: tuple[Optional[ComponentTree], str, Optional[str]] = (None, "", None)
         for caller, callee, event, component in model.seed_atg:
             selector = Selector(resource_id=f"{self.package}:id/{component}")
             self.atg.add_edge(
@@ -200,9 +204,13 @@ class Explorer:
         )
 
     def _state_key(self, tree: ComponentTree) -> str:
-        if self.config.enable_scene_id:
-            return identity.scene_id(tree, self.package)
-        return identity.raw_state_id(serialize_tree(tree))
+        if self._keyed[0] is not tree:
+            if self.config.enable_scene_id:
+                self._keyed = (tree, identity.scene_id(tree, self.package), None)
+            else:
+                xml = serialize_tree(tree)
+                self._keyed = (tree, identity.raw_state_id(xml), xml)
+        return self._keyed[1]
 
     def _record_scene(self, tree: ComponentTree, path: list) -> str:
         sid = self._state_key(tree)
@@ -212,7 +220,8 @@ class Explorer:
         if self.out_dir:
             layout_path = self.out_dir / layout_ref
             layout_path.parent.mkdir(parents=True, exist_ok=True)
-            layout_path.write_text(serialize_tree(tree), encoding="utf-8")
+            xml = self._keyed[2]  # the tree was just keyed; under scene ids nothing was serialised
+            layout_path.write_text(xml if xml is not None else serialize_tree(tree), encoding="utf-8")
         shot = self.driver.screenshot_ref()
         self.scenetg.add_node(sid, tree.source_activity, layout_ref, shot)
         self.paths[sid] = [[event.value, selector.describe()] for event, selector, _ in path]

@@ -140,23 +140,21 @@ def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
     return ComponentTree(root=_node_from_element(root_elem, 0), source_activity=source_activity)
 
 
+def _flag(on: bool) -> str:
+    return "true" if on else "false"
+
+
 def _render_node(node: ComponentNode, out: list, depth: int) -> None:
+    # Only the four string fields can hold characters that need escaping; the
+    # index, flags and bounds are digits, true/false and "[l,t][r,b]".
     pad = "  " * depth
-    attrs = [
-        ("index", str(node.index)),
-        ("class", node.widget_class),
-        ("package", node.package),
-        ("resource-id", node.resource_id),
-        ("text", node.text),
-        ("clickable", "true" if node.clickable else "false"),
-        ("checkable", "true" if node.checkable else "false"),
-        ("checked", "true" if node.checked else "false"),
-        ("enabled", "true" if node.enabled else "false"),
-        ("scrollable", "true" if node.scrollable else "false"),
-        ("long-clickable", "true" if node.long_clickable else "false"),
-        ("bounds", node.bounds.render()),
-    ]
-    line = " ".join(f"{k}={quoteattr(v)}" for k, v in attrs)
+    line = (
+        f'index="{node.index}" class={quoteattr(node.widget_class)} package={quoteattr(node.package)} '
+        f"resource-id={quoteattr(node.resource_id)} text={quoteattr(node.text)} "
+        f'clickable="{_flag(node.clickable)}" checkable="{_flag(node.checkable)}" checked="{_flag(node.checked)}" '
+        f'enabled="{_flag(node.enabled)}" scrollable="{_flag(node.scrollable)}" '
+        f'long-clickable="{_flag(node.long_clickable)}" bounds="{node.bounds.render()}"'
+    )
     if node.children:
         out.append(f"{pad}<node {line}>")
         for child in node.children:

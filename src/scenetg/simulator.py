@@ -408,6 +408,8 @@ class SimulatorSession:
         self.model = model
         self._stack: list[_Frame] = []
         self._shots = 0
+        # The current page as `_render` returned it; None once an action may have changed it.
+        self._page: Optional[tuple[ComponentTree, dict[int, WidgetModel]]] = None
 
     # -- driver contract ----------------------------------------------------
 
@@ -431,10 +433,11 @@ class SimulatorSession:
                 return LaunchResult(LaunchReason.WRONG_TYPE)
         # A direct launch starts a fresh task: widget states reset per visit.
         self._stack = [_Frame(_ActivityInstance(activity), activity.entry_scene.name)]
+        self._page = None
         return LaunchResult(LaunchReason.OK)
 
     def current_tree(self) -> ComponentTree:
-        return self._render(self._top())[0]
+        return self._current_page()[0]
 
     def tap(self, selector: Selector) -> None:
         frame = self._top()
@@ -449,6 +452,7 @@ class SimulatorSession:
         frame = self._top()
         widget = self._resolve(frame, selector)
         frame.instance.states[widget.id]["text"] = value
+        self._page = None
 
     def toggle(self, selector: Selector) -> None:
         frame = self._top()
@@ -457,6 +461,7 @@ class SimulatorSession:
     def press_back(self) -> None:
         if self._stack:
             self._stack.pop()
+        self._page = None
 
     def screenshot_ref(self) -> str:
         frame = self._top()
@@ -482,8 +487,10 @@ class SimulatorSession:
         if widget.checkable:
             st = frame.instance.states[widget.id]
             st["checked"] = not st["checked"]
+            self._page = None
 
     def _fire(self, frame: _Frame, tr: TransitionModel) -> None:
+        self._page = None
         if tr.set_text:
             wid, value = tr.set_text
             frame.instance.states[wid]["text"] = value
@@ -534,6 +541,12 @@ class SimulatorSession:
             node.children.append(self._render_widget(child, instance, i, owners))
         return node
 
+    def _current_page(self) -> tuple[ComponentTree, dict[int, WidgetModel]]:
+        """The top frame's page; rendered once, then reused until an action changes the page."""
+        if self._page is None:
+            self._page = self._render(self._top())
+        return self._page
+
     def _render(self, frame: _Frame) -> tuple[ComponentTree, dict[int, WidgetModel]]:
         """A fresh tree of the frame's page, and the widget model behind each node (keyed by `id(node)`)."""
         scene = frame.instance.model.scene(frame.scene_name)
@@ -552,7 +565,7 @@ class SimulatorSession:
 
     def _resolve(self, frame: _Frame, selector: Selector) -> WidgetModel:
         """The widget behind the first BFS node the selector matches: the node `match_component` picks."""
-        tree, owners = self._render(frame)
+        tree, owners = self._current_page()
         node = next((n for n in bfs_nodes(tree, self.model.package) if selector.matches(n)), None)
         widget = owners.get(id(node))
         if widget is None:

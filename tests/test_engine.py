@@ -4,10 +4,12 @@ from dataclasses import asdict
 import pytest
 
 from conftest import PKG, load_benchmark, make_node, make_tree
+from scenetg import engine, identity
 from scenetg.engine import (
     ExplorationConfig,
     NonTransitiveKind,
     apply_assignment,
+    explore,
     fuzz_assignments,
     non_transitive_kind,
 )
@@ -164,6 +166,34 @@ class TestExploration:
         assert {"launch", "discover", "expand", "tap"} <= actions
         launches = [r for r in result.trace if r["action"] == "launch"]
         assert any(r["outcome"] == "NOT_EXPORTED" for r in launches)
+
+    @pytest.mark.parametrize("name", ["fig5a.json", "guarded.json", "app01.json"])
+    def test_each_page_is_hashed_once(self, name, monkeypatch):
+        seen = _spy(monkeypatch, identity, "scene_id")
+        model = load_benchmark(name)
+        explore(model, simulate(model), ExplorationConfig())
+        assert seen and len({id(tree) for tree in seen}) == len(seen)
+
+    @pytest.mark.parametrize("name", ["fig5a.json", "guarded.json", "app01.json"])
+    def test_raw_state_key_serialises_each_page_once(self, name, monkeypatch, tmp_path):
+        seen = _spy(monkeypatch, engine, "serialize_tree")
+        model = load_benchmark(name)
+        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False), out_dir=tmp_path)
+        assert len(list((tmp_path / "layouts").glob("*.xml"))) == result.report["stats"]["scenes"]
+        assert seen and len({id(tree) for tree in seen}) == len(seen)
+
+
+def _spy(monkeypatch, module, name):
+    """Wrap `module.name`; the returned list holds every tree it is called with (kept alive, so ids stay unique)."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(tree, *args):
+        seen.append(tree)
+        return real(tree, *args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+from xml.sax.saxutils import quoteattr
+
 import pytest
 
 from conftest import PKG, make_node, make_tree
@@ -87,6 +89,53 @@ class TestParse:
             for n in t.root.iter_subtree()
         ]
         assert flat(tree) == flat(again)
+
+    @pytest.mark.parametrize(
+        "value",
+        ['say "hi"', "it's", "\"both\" 'kinds'", "a & b", "a < b", "a > b", "a\nb", "a\tb"],
+        ids=["dquote", "squote", "both-quotes", "amp", "lt", "gt", "newline", "tab"],
+    )
+    def test_escaped_text_and_resource_id(self, value):
+        node = make_node(rid=f"x:id/{value}", text=value, bounds=Bounds(0, 100, 1080, 200), clickable=True)
+        tree = make_tree(make_node(cls="android.widget.FrameLayout", children=[node]))
+        assert serialize_tree(tree) == _quoteattr_everywhere(tree)
+        back = parse_hierarchy_dump(serialize_tree(tree), "MainActivity").root.children[0]
+        assert (back.resource_id, back.text, back.bounds, back.clickable) == (f"x:id/{value}", value, node.bounds, True)
+
+
+def _quoteattr_everywhere(tree):
+    """Reference dump text: every attribute value passed through `quoteattr`."""
+    out = ['<?xml version="1.0" encoding="UTF-8"?>', "<hierarchy>"]
+
+    def render(node, depth):
+        flag = lambda on: "true" if on else "false"
+        attrs = [
+            ("index", str(node.index)),
+            ("class", node.widget_class),
+            ("package", node.package),
+            ("resource-id", node.resource_id),
+            ("text", node.text),
+            ("clickable", flag(node.clickable)),
+            ("checkable", flag(node.checkable)),
+            ("checked", flag(node.checked)),
+            ("enabled", flag(node.enabled)),
+            ("scrollable", flag(node.scrollable)),
+            ("long-clickable", flag(node.long_clickable)),
+            ("bounds", node.bounds.render()),
+        ]
+        pad = "  " * depth
+        line = " ".join(f"{k}={quoteattr(v)}" for k, v in attrs)
+        if not node.children:
+            out.append(f"{pad}<node {line} />")
+            return
+        out.append(f"{pad}<node {line}>")
+        for child in node.children:
+            render(child, depth + 1)
+        out.append(f"{pad}</node>")
+
+    render(tree.root, 1)
+    out.append("</hierarchy>")
+    return "\n".join(out) + "\n"
 
 
 class TestQueries:

@@ -21,6 +21,19 @@ def current_dump(driver):
     return serialize_tree(tree), tree.source_activity
 
 
+def _count_renders(monkeypatch, driver):
+    """The frames `driver` renders from now on, one entry per render."""
+    renders = []
+    render = driver._render
+
+    def counted(frame):
+        renders.append(frame)
+        return render(frame)
+
+    monkeypatch.setattr(driver, "_render", counted)
+    return renders
+
+
 MODEL = {
     "package": PKG,
     "activities": [
@@ -290,6 +303,36 @@ class TestSession:
             act()
             assert serialize_tree(tree) == before
         assert serialize_tree(driver.current_tree()) != before
+
+    def test_page_is_rendered_once_until_it_changes(self, driver, monkeypatch):
+        renders = _count_renders(monkeypatch, driver)
+        tree = driver.current_tree()
+        assert driver.current_tree() is tree
+        driver.tap(sel("lbl_title"))  # no transition, not checkable: a dead tap
+        driver.toggle(sel("btn_about"))  # not checkable
+        driver.screenshot_ref()
+        assert driver.input_type_of(sel("ed_name")) == "text"
+        assert driver.launch_activity(IccMessage("NopeActivity")).reason is LaunchReason.UNDECLARED
+        assert driver.current_tree() is tree
+        assert len(renders) == 1
+
+    def test_each_page_change_renders_anew(self, driver, monkeypatch):
+        renders = _count_renders(monkeypatch, driver)
+        changes = [
+            lambda: driver.set_text(sel("ed_name"), "alice"),
+            lambda: driver.toggle(sel("sw_dark")),
+            lambda: driver.tap(sel("sw_dark")),  # a checkable widget without a transition
+            lambda: driver.tap(sel("btn_about")),  # fires a transition
+            lambda: driver.press_back(),
+            lambda: driver.launch_activity(IccMessage("MainActivity")),
+        ]
+        tree = driver.current_tree()
+        for change in changes:
+            change()
+            again = driver.current_tree()
+            assert again is not tree and driver.current_tree() is again
+            tree = again
+        assert len(renders) == 1 + len(changes)
 
     def test_class_and_bounds_selector_honours_bounds(self):
         button = "android.widget.Button"
