@@ -73,25 +73,15 @@ class TransitionModel:
 @dataclass
 class SceneModel:
     name: str
-    widgets: list[WidgetModel]
+    widgets: list[WidgetModel]  # the top-level widgets, in render order
     transitions: list[TransitionModel]
-
-    def widget_ids(self) -> set[str]:
-        ids = set()
-
-        def walk(widgets):
-            for w in widgets:
-                ids.add(w.id)
-                walk(w.children)
-
-        walk(self.widgets)
-        return ids
 
 
 @dataclass
 class ActivityModel:
     name: str
-    scenes: list[SceneModel]
+    scenes: dict[str, SceneModel]  # by name, in declaration order; the first is the entry scene
+    widgets: dict[str, WidgetModel]  # every widget of every scene, nested ones too, by id
     directly_launchable: bool = True
     declared: bool = True
     launch_failure: Optional[LaunchReason] = None
@@ -99,35 +89,38 @@ class ActivityModel:
 
     @property
     def entry_scene(self) -> SceneModel:
-        return self.scenes[0]
-
-    def scene(self, name: str) -> SceneModel:
-        for s in self.scenes:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return next(iter(self.scenes.values()))
 
 
 @dataclass
 class AppModel:
     package: str
-    activities: list[ActivityModel]
+    by_name: dict[str, ActivityModel]  # the activities by name, in declaration order
     seed_atg: list[tuple[str, str, str, str]] = field(default_factory=list)
 
+    @property
+    def activities(self) -> list[ActivityModel]:
+        return list(self.by_name.values())
+
     def activity(self, name: str) -> Optional[ActivityModel]:
-        for a in self.activities:
-            if a.name == name:
-                return a
-        return None
+        return self.by_name.get(name)
 
 
 # ---------------------------------------------------------------------------
 # Model loading / validation
 
 
-# The exact type of each field a model object may carry (so a bool is no int).
+# The fields each model object may carry, with the exact type of each (so a
+# bool is no int); None marks a field whose own reader checks it.
 _MODEL_TYPES = {"package": str, "activities": list, "seed_atg": list}
-_ACTIVITY_TYPES = {"name": str, "scenes": list, "directly_launchable": bool, "declared": bool, "required_extras": list}
+_ACTIVITY_TYPES = {
+    "name": str,
+    "scenes": list,
+    "directly_launchable": bool,
+    "declared": bool,
+    "launch_failure": None,
+    "required_extras": list,
+}
 _SCENE_TYPES = {"name": str, "widgets": list, "transitions": list}
 _WIDGET_TYPES = {
     "id": str,
@@ -139,23 +132,35 @@ _WIDGET_TYPES = {
     "checked": bool,
     "input_type": str,
     "repeat": int,
+    "visible_when": None,
     "children": list,
 }
-_TRANSITION_TYPES = {"widget": str, "event": str, "increment": str, "clear_stack": bool}
+_TRANSITION_TYPES = {
+    "widget": str,
+    "event": str,
+    "target": None,
+    "guard": None,
+    "set_text": None,
+    "increment": str,
+    "clear_stack": bool,
+}
 _CONDITION_TYPES = {"widget": str, "checked": bool, "filled": bool}
 _SET_TEXT_TYPES = {"widget": str, "value": str}
+_SEED_ATG_TYPES = dict.fromkeys(("caller", "callee", "event", "component"))
 _FAILURE_REASONS = [r.value for r in LaunchReason if r is not LaunchReason.OK]
 
 
 def _typed(obj, where: str, types: dict, required: tuple = ()) -> dict:
-    """`obj` checked to be an object with its `required` keys and every present field of its type."""
+    """`obj` checked to be an object with its `required` keys and only fields of `types`, each of its type."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected object")
     for key in required:
         if key not in obj:
             raise SchemaError(f"{where}: missing required field {key!r}")
     for key, value in obj.items():
-        kind = types.get(key)
+        if key not in types:
+            raise SchemaError(f"{where}.{key}: unknown field")
+        kind = types[key]
         if kind is not None and type(value) is not kind:
             raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return obj
@@ -163,6 +168,8 @@ def _typed(obj, where: str, types: dict, required: tuple = ()) -> dict:
 
 def _parse_condition(obj, where: str) -> Condition:
     _typed(obj, where, _CONDITION_TYPES, ("widget",))
+    if "checked" in obj and "filled" in obj:
+        raise SchemaError(f"{where}: condition has both 'checked' and 'filled'")
     for prop in ("checked", "filled"):
         if prop in obj:
             return Condition(obj["widget"], prop, obj[prop])
@@ -179,17 +186,15 @@ def _parse_conditions(obj, where: str) -> list[Condition]:
     return [_parse_condition(c, f"{where}[{i}]") for i, c in enumerate(obj)]
 
 
-def _parse_widget(obj, where: str, seen: set) -> WidgetModel:
-    """One widget; `seen` holds the ids taken so far in its activity, which keeps one state slot per id."""
+def _parse_widget(obj, where: str, widgets: dict) -> WidgetModel:
+    """One widget, entered with its children into `widgets`: its activity's widgets by id, one state slot each."""
     _typed(obj, where, _WIDGET_TYPES, ("id", "class"))
-    if obj["id"] in seen:
+    if obj["id"] in widgets:
         raise SchemaError(f"{where}.id: duplicate widget id {obj['id']!r} in activity")
-    seen.add(obj["id"])
     repeat = obj.get("repeat", 1)
     if repeat < 0:
         raise SchemaError(f"{where}.repeat: must be >= 0, got {repeat}")
-    children = [_parse_widget(c, f"{where}.children[{i}]", seen) for i, c in enumerate(obj.get("children", []))]
-    return WidgetModel(
+    widget = widgets[obj["id"]] = WidgetModel(
         id=obj["id"],
         widget_class=obj["class"],
         rid=obj.get("rid"),
@@ -200,8 +205,9 @@ def _parse_widget(obj, where: str, seen: set) -> WidgetModel:
         input_type=obj.get("input_type"),
         repeat=repeat,
         visible_when=_parse_conditions(obj.get("visible_when"), f"{where}.visible_when"),
-        children=children,
     )
+    widget.children = [_parse_widget(c, f"{where}.children[{i}]", widgets) for i, c in enumerate(obj.get("children", []))]
+    return widget
 
 
 def _parse_transition(obj, where: str) -> TransitionModel:
@@ -231,50 +237,51 @@ def _parse_transition(obj, where: str) -> TransitionModel:
     )
 
 
-def _validate_activity(activity: ActivityModel, model: AppModel, where: str) -> None:
-    scene_names = set()
-    for i, scene in enumerate(activity.scenes):
-        if scene.name in scene_names:
-            raise SchemaError(f"{where}.scenes[{i}]: duplicate scene name {scene.name!r}")
-        scene_names.add(scene.name)
-    activity_names = {a.name for a in model.activities}
+def _parse_scenes(raw_scenes: list, where: str, launches: list) -> tuple[dict, dict]:
+    """An activity's scenes by name and widgets by id, with the references within the activity checked.
+
+    Each `activity:` target is appended to `launches` as (path, name), to be
+    checked once every activity is declared.
+    """
+    scenes: dict[str, SceneModel] = {}
+    widgets: dict[str, WidgetModel] = {}
+    owned = []  # per scene: its path and its own widget ids, the run of `widgets` that its parse added
+    for j, rs in enumerate(raw_scenes):
+        sw = f"{where}.scenes[{j}]"
+        name = _typed(rs, sw, _SCENE_TYPES, ("name",))["name"]
+        if name in scenes:
+            raise SchemaError(f"{sw}: duplicate scene name {name!r}")
+        first = len(widgets)
+        roots = [_parse_widget(w, f"{sw}.widgets[{k}]", widgets) for k, w in enumerate(rs.get("widgets", []))]
+        transitions = [_parse_transition(t, f"{sw}.transitions[{k}]") for k, t in enumerate(rs.get("transitions", []))]
+        scenes[name] = SceneModel(name, roots, transitions)
+        owned.append((sw, list(widgets)[first:]))
     # Widget state is held per activity instance, so guards, effects, and
     # visibility conditions may reference widgets from any scene of the
     # activity; only a transition's trigger widget must live in its own scene.
-    activity_ids = set()
-    for scene in activity.scenes:
-        activity_ids |= scene.widget_ids()
-    for i, scene in enumerate(activity.scenes):
-        ids = scene.widget_ids()
-        sw = f"{where}.scenes[{i}]"
+    for scene, (sw, own) in zip(scenes.values(), owned):
         for j, tr in enumerate(scene.transitions):
             tw = f"{sw}.transitions[{j}]"
-            if tr.widget not in ids:
+            if tr.widget not in own:
                 raise DanglingReference(f"{tw}: widget {tr.widget!r} not in scene {scene.name!r}")
             for cond in tr.guard:
-                if cond.widget not in activity_ids:
+                if cond.widget not in widgets:
                     raise DanglingReference(f"{tw}.guard: widget {cond.widget!r} not in activity")
-            if tr.set_text and tr.set_text[0] not in activity_ids:
+            if tr.set_text and tr.set_text[0] not in widgets:
                 raise DanglingReference(f"{tw}.set_text: widget {tr.set_text[0]!r} not in activity")
-            if tr.increment and tr.increment not in activity_ids:
+            if tr.increment and tr.increment not in widgets:
                 raise DanglingReference(f"{tw}.increment: widget {tr.increment!r} not in activity")
             if tr.target:
-                kind, name = tr.target
-                if kind == "scene" and name not in scene_names:
-                    raise DanglingReference(f"{tw}.target: scene {name!r} not declared in activity")
-                if kind == "activity" and name not in activity_names:
-                    raise DanglingReference(f"{tw}.target: activity {name!r} not declared")
-
-        def check_conditions(widgets):
-            for w in widgets:
-                for cond in w.visible_when:
-                    if cond.widget not in activity_ids:
-                        raise DanglingReference(
-                            f"{sw}: visible_when of widget {w.id!r} references unknown {cond.widget!r}"
-                        )
-                check_conditions(w.children)
-
-        check_conditions(scene.widgets)
+                kind, target = tr.target
+                if kind == "scene" and target not in scenes:
+                    raise DanglingReference(f"{tw}.target: scene {target!r} not declared in activity")
+                if kind == "activity":
+                    launches.append((f"{tw}.target", target))
+        for wid in own:
+            for cond in widgets[wid].visible_when:
+                if cond.widget not in widgets:
+                    raise DanglingReference(f"{sw}: visible_when of widget {wid!r} references unknown {cond.widget!r}")
+    return scenes, widgets
 
 
 def parse_app_model(doc: dict) -> AppModel:
@@ -282,27 +289,16 @@ def parse_app_model(doc: dict) -> AppModel:
     raw_acts = doc["activities"]
     if not raw_acts:
         raise SchemaError("model.activities: must not be empty")
-    activities = []
-    seen = set()
+    activities: dict[str, ActivityModel] = {}
+    launches: list[tuple[str, str]] = []
     for i, raw in enumerate(raw_acts):
         where = f"model.activities[{i}]"
         name = _typed(raw, where, _ACTIVITY_TYPES, ("name", "scenes"))["name"]
-        if name in seen:
+        if name in activities:
             raise SchemaError(f"{where}.name: duplicate activity {name!r}")
-        seen.add(name)
-        raw_scenes = raw["scenes"]
-        if not raw_scenes:
+        if not raw["scenes"]:
             raise SchemaError(f"{where}.scenes: activity needs an entry scene")
-        scenes, widget_ids = [], set()
-        for j, rs in enumerate(raw_scenes):
-            sw = f"{where}.scenes[{j}]"
-            _typed(rs, sw, _SCENE_TYPES, ("name",))
-            widgets = [_parse_widget(w, f"{sw}.widgets[{k}]", widget_ids) for k, w in enumerate(rs.get("widgets", []))]
-            transitions = [
-                _parse_transition(t, f"{sw}.transitions[{k}]")
-                for k, t in enumerate(rs.get("transitions", []))
-            ]
-            scenes.append(SceneModel(rs["name"], widgets, transitions))
+        scenes, widgets = _parse_scenes(raw["scenes"], where, launches)
         failure = raw.get("launch_failure")
         if failure is not None and failure not in _FAILURE_REASONS:
             raise SchemaError(f"{where}.launch_failure: unknown failure reason {failure!r}")
@@ -313,20 +309,20 @@ def parse_app_model(doc: dict) -> AppModel:
             if pair[1] not in ExtraType.__members__:
                 raise SchemaError(f"{where}.required_extras[{k}]: unknown extra type {pair[1]!r}")
             extras.append((pair[0], pair[1]))
-        activities.append(
-            ActivityModel(
-                name=name,
-                scenes=scenes,
-                directly_launchable=raw.get("directly_launchable", True),
-                declared=raw.get("declared", True),
-                launch_failure=LaunchReason(failure) if failure is not None else None,
-                required_extras=extras,
-            )
+        activities[name] = ActivityModel(
+            name=name,
+            scenes=scenes,
+            widgets=widgets,
+            directly_launchable=raw.get("directly_launchable", True),
+            declared=raw.get("declared", True),
+            launch_failure=LaunchReason(failure) if failure is not None else None,
+            required_extras=extras,
         )
     seed_atg = []
     for i, raw in enumerate(doc.get("seed_atg", [])):
         where = f"model.seed_atg[{i}]"
         if isinstance(raw, dict):
+            _typed(raw, where, _SEED_ATG_TYPES)
             entry = (raw.get("caller"), raw.get("callee"), raw.get("event", "TAP"), raw.get("component"))
         elif isinstance(raw, (list, tuple)) and len(raw) == 4:
             entry = tuple(raw)
@@ -336,15 +332,15 @@ def parse_app_model(doc: dict) -> AppModel:
             raise SchemaError(f"{where}: all four fields must be nonempty strings")
         if entry[2] not in EventKind.__members__:
             raise SchemaError(f"{where}.event: unknown event {entry[2]!r}")
-        if entry[0] not in seen:
+        if entry[0] not in activities:
             raise DanglingReference(f"{where}.caller: activity {entry[0]!r} not declared")
-        if entry[1] not in seen:
+        if entry[1] not in activities:
             raise DanglingReference(f"{where}.callee: activity {entry[1]!r} not declared")
         seed_atg.append(entry)
-    model = AppModel(package=doc["package"], activities=activities, seed_atg=seed_atg)
-    for i, act in enumerate(model.activities):
-        _validate_activity(act, model, f"model.activities[{i}]")
-    return model
+    for where, name in launches:
+        if name not in activities:
+            raise DanglingReference(f"{where}: activity {name!r} not declared")
+    return AppModel(package=doc["package"], by_name=activities, seed_atg=seed_atg)
 
 
 def load_app_model(path) -> AppModel:
@@ -376,17 +372,7 @@ _EXTRA_FORMATS = {
 class _ActivityInstance:
     def __init__(self, model: ActivityModel):
         self.model = model
-        self.states: dict[str, dict] = {}
-        self._init_states(model)
-
-    def _init_states(self, model: ActivityModel):
-        def walk(widgets):
-            for w in widgets:
-                self.states.setdefault(w.id, {"text": w.text, "checked": w.checked, "count": 0})
-                walk(w.children)
-
-        for scene in model.scenes:
-            walk(scene.widgets)
+        self.states = {wid: {"text": w.text, "checked": w.checked, "count": 0} for wid, w in model.widgets.items()}
 
     def holds(self, cond: Condition) -> bool:
         st = self.states[cond.widget]
@@ -398,7 +384,7 @@ class _ActivityInstance:
 @dataclass
 class _Frame:
     instance: _ActivityInstance
-    scene_name: str
+    scene: SceneModel
 
 
 class SimulatorSession:
@@ -432,7 +418,7 @@ class SimulatorSession:
             if got_type is not expected or not _EXTRA_FORMATS[expected].match(value):
                 return LaunchResult(LaunchReason.WRONG_TYPE)
         # A direct launch starts a fresh task: widget states reset per visit.
-        self._stack = [_Frame(_ActivityInstance(activity), activity.entry_scene.name)]
+        self._stack = [_Frame(_ActivityInstance(activity), activity.entry_scene)]
         self._page = None
         return LaunchResult(LaunchReason.OK)
 
@@ -442,7 +428,7 @@ class SimulatorSession:
     def tap(self, selector: Selector) -> None:
         frame = self._top()
         widget = self._resolve(frame, selector)
-        for tr in frame.instance.model.scene(frame.scene_name).transitions:
+        for tr in frame.scene.transitions:
             if tr.widget == widget.id and all(frame.instance.holds(c) for c in tr.guard):
                 self._fire(frame, tr)
                 return
@@ -466,7 +452,7 @@ class SimulatorSession:
     def screenshot_ref(self) -> str:
         frame = self._top()
         self._shots += 1
-        return f"sim://{frame.instance.model.name}/{frame.scene_name}/{self._shots}"
+        return f"sim://{frame.instance.model.name}/{frame.scene.name}/{self._shots}"
 
     def input_type_of(self, selector: Selector) -> Optional[str]:
         frame = self._top()
@@ -502,10 +488,10 @@ class SimulatorSession:
             return
         kind, name = tr.target
         if kind == "scene":
-            new_frame = _Frame(frame.instance, name)
+            new_frame = _Frame(frame.instance, frame.instance.model.scenes[name])
         else:
             target = self.model.activity(name)
-            new_frame = _Frame(_ActivityInstance(target), target.entry_scene.name)
+            new_frame = _Frame(_ActivityInstance(target), target.entry_scene)
         if tr.clear_stack:
             self._stack = [new_frame]
         else:
@@ -518,7 +504,7 @@ class SimulatorSession:
         out = []
         for w in widgets:
             if all(instance.holds(c) for c in w.visible_when):
-                out.extend([w] * max(1, w.repeat))
+                out.extend([w] * w.repeat)
         return out
 
     def _render_widget(self, widget: WidgetModel, instance: _ActivityInstance, index: int, owners: dict) -> ComponentNode:
@@ -549,7 +535,6 @@ class SimulatorSession:
 
     def _render(self, frame: _Frame) -> tuple[ComponentTree, dict[int, WidgetModel]]:
         """A fresh tree of the frame's page, and the widget model behind each node (keyed by `id(node)`)."""
-        scene = frame.instance.model.scene(frame.scene_name)
         owners: dict[int, WidgetModel] = {}
         root = ComponentNode(
             widget_class="android.widget.FrameLayout",
@@ -559,7 +544,7 @@ class SimulatorSession:
             enabled=True,
             index=0,
         )
-        for i, w in enumerate(self._visible_widgets(scene.widgets, frame.instance)):
+        for i, w in enumerate(self._visible_widgets(frame.scene.widgets, frame.instance)):
             root.children.append(self._render_widget(w, frame.instance, i, owners))
         return ComponentTree(root=root, source_activity=frame.instance.model.name), owners
 
@@ -569,7 +554,7 @@ class SimulatorSession:
         node = next((n for n in bfs_nodes(tree, self.model.package) if selector.matches(n)), None)
         widget = owners.get(id(node))
         if widget is None:
-            raise SelectorNotFound(f"{selector.describe()!r} not on scene {frame.scene_name!r}")
+            raise SelectorNotFound(f"{selector.describe()!r} not on scene {frame.scene.name!r}")
         return widget
 
 

@@ -147,6 +147,14 @@ class TestOtherVerbs:
         bad.write_text("{}")
         assert main(["validate-model", "--app", str(bad)]) == EXIT_USAGE
 
+    def test_validate_model_names_unknown_field(self, tmp_path, capsys):
+        doc = json.loads(benchmark_path("app01.json").read_text())
+        doc["activities"][0]["scenes"][0]["widgets"][0]["clikable"] = True
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate-model", "--app", str(bad)]) == EXIT_USAGE
+        assert "model.activities[0].scenes[0].widgets[0].clikable: unknown field" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_verb(self):

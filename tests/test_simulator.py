@@ -199,18 +199,59 @@ BAD_FIELDS = [
     (("activities", 1, "launch_failure"), "OK", r"model\.activities\[1\]\.launch_failure"),
     (("activities", 1, "launch_failure"), ["NOT_EXPORTED"], r"model\.activities\[1\]\.launch_failure"),
     (("activities", 0, "scenes", 1, "widgets", 0, "id"), "lbl_title", r"scenes\[1\]\.widgets\[0\]\.id: duplicate"),
+    (("activities", 0, "scenes", 1, "transitions", 0, "guard", 0, "checked"), True, r"transitions\[0\]\.guard\[0\]: "),
+    (W + (6, "visble_when"), [{"widget": "sw_dark", "checked": True}], W_AT + r"\[6\]\.visble_when: unknown field"),
+    (W + (1, "clikable"), True, W_AT + r"\[1\]\.clikable: unknown field"),
+    (T + (0, "targte"), "scene:about", T_AT + r"\[0\]\.targte: unknown field"),
+    (("activities", 1, "launch_falure"), "NOT_EXPORTED", r"model\.activities\[1\]\.launch_falure: unknown field"),
+    (("seed_atg", 0), {"caller": "MainActivity", "callee": "DetailActivity", "component": "btn_detail", "evnt": "BACK"},
+     r"model\.seed_atg\[0\]\.evnt: unknown field"),
 ]
 
 
-@pytest.mark.parametrize("path, value, where", BAD_FIELDS, ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_FIELDS])
-def test_mistyped_field_is_schema_error_naming_path(path, value, where):
+def _mutated(path, value):
+    """A copy of MODEL with the field at `path` set to `value`."""
     doc = json.loads(json.dumps(MODEL))
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, where", BAD_FIELDS, ids=[f"{p[-1]}={v!r}" for p, v, _ in BAD_FIELDS])
+def test_mistyped_field_is_schema_error_naming_path(path, value, where):
     with pytest.raises(SchemaError, match=where):
-        parse_app_model(doc)
+        parse_app_model(_mutated(path, value))
+
+
+A0 = "model.activities[0]"
+GHOST = {"widget": "ghost", "checked": True}
+
+# (field path into MODEL, bad value, error type, exact message)
+BAD_REFERENCES = [
+    (T + (0, "widget"), "btn_secret", DanglingReference,
+     f"{A0}.scenes[0].transitions[0]: widget 'btn_secret' not in scene 'entry'"),
+    (T + (0, "guard"), [GHOST], DanglingReference, f"{A0}.scenes[0].transitions[0].guard: widget 'ghost' not in activity"),
+    (T + (0, "set_text"), {"widget": "ghost", "value": "x"}, DanglingReference,
+     f"{A0}.scenes[0].transitions[0].set_text: widget 'ghost' not in activity"),
+    (T + (0, "increment"), "ghost", DanglingReference,
+     f"{A0}.scenes[0].transitions[0].increment: widget 'ghost' not in activity"),
+    (W + (7, "children", 0, "visible_when"), [GHOST], DanglingReference,
+     f"{A0}.scenes[0]: visible_when of widget 'row' references unknown 'ghost'"),
+    (T + (1, "target"), "activity:Ghost", DanglingReference,
+     f"{A0}.scenes[0].transitions[1].target: activity 'Ghost' not declared"),
+    (("activities", 0, "scenes", 1, "name"), "entry", SchemaError, f"{A0}.scenes[1]: duplicate scene name 'entry'"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, error, message", BAD_REFERENCES, ids=[f"{p[-1]}={v!r}" for p, v, _, _ in BAD_REFERENCES]
+)
+def test_bad_reference_is_typed_error_with_exact_message(path, value, error, message):
+    with pytest.raises(error) as caught:
+        parse_app_model(_mutated(path, value))
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestSession:
@@ -235,6 +276,12 @@ class TestSession:
         tree = parse_hierarchy_dump(raw, "MainActivity")
         rows = [n for n in tree.root.iter_subtree() if n.resource_id == f"{PKG}:id/row"]
         assert len(rows) == 3
+
+    def test_repeat_zero_renders_no_copy(self):
+        driver = simulate(parse_app_model(_mutated(W + (7, "children", 0, "repeat"), 0)))
+        assert driver.launch_activity(IccMessage("MainActivity")).success
+        rids = [n.resource_id for n in driver.current_tree().root.iter_subtree()]
+        assert f"{PKG}:id/list_rows" in rids and f"{PKG}:id/row" not in rids
 
     def test_visible_when_gates_rendering(self, driver):
         assert f"{PKG}:id/lbl_hint" not in current_dump(driver)[0]
@@ -289,6 +336,21 @@ class TestSession:
         tree = parse_hierarchy_dump(*current_dump(driver))
         node = next(n for n in tree.root.iter_subtree() if n.resource_id == f"{PKG}:id/ed_name")
         assert node.text == ""
+
+    def test_relaunch_gives_each_instance_fresh_state(self):
+        doc = _mutated(T + (0, "increment"), "lbl_title")  # each tap of btn_about counts on lbl_title
+        driver = simulate(parse_app_model(doc))
+
+        def rendered(wid):
+            return next(n for n in driver.current_tree().root.iter_subtree() if n.resource_id == f"{PKG}:id/{wid}")
+
+        for _ in range(2):  # the second launch must start from the defaults again
+            assert driver.launch_activity(IccMessage("MainActivity")).success
+            assert rendered("lbl_title").text == "home" and not rendered("sw_dark").checked
+            driver.toggle(sel("sw_dark"))
+            driver.tap(sel("btn_about"))
+            driver.press_back()
+            assert rendered("lbl_title").text == "1" and rendered("sw_dark").checked
 
     def test_returned_tree_is_not_changed_by_later_actions(self, driver):
         tree = driver.current_tree()
