@@ -1,18 +1,20 @@
 """Cross-version comparison of two exploration runs.
 
 Scenes from adjacent versions are paired by execution path (the event/component
-sequence that reached them); matched pairs get a layer-by-layer component-tree
-diff, and transition pairs are compared as sets after mapping old scene ids
-through the matching.
+sequence that reached them); matched pairs whose stored layouts differ get a
+layer-by-layer component-tree diff, and transition pairs are compared as sets
+after mapping old scene ids through the matching.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional
 
+from .errors import CorruptRun, SceneTGError
 from .graphs import read_json, read_run_document
 from .layout import ComponentNode, ComponentTree, children, parse_hierarchy_dump
 
@@ -127,27 +129,29 @@ class DiffReport:
 
 @dataclass
 class RunSnapshot:
+    directory: Path
     package: str
     scenes: list[dict]  # ordered by discovery
     edges: set[tuple]  # (src, dst, event, component)
     paths: dict[str, list]  # scene id -> [[event, component], ...]
-    trees: dict[str, ComponentTree]
+    layouts: dict[str, str]  # scene id -> layout text, parsed by diff_graphs
 
     @classmethod
     def load(cls, directory) -> "RunSnapshot":
         directory = Path(directory)
         doc = read_run_document(directory)
         paths = read_json(directory / "paths.json")
-        trees = {}
+        layouts = {}
         for scene in doc["scenes"]:
             layout = directory / scene["layout_ref"]
-            trees[scene["id"]] = parse_hierarchy_dump(
-                layout.read_text(encoding="utf-8"), scene["activity"]
-            )
+            try:
+                layouts[scene["id"]] = layout.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptRun(f"{layout}: not UTF-8 text: {exc}") from None
         edges = {
             (e["src"], e["dst"], e["event"], e["component"]) for e in doc["scene_edges"]
         }
-        return cls(package=doc["package"], scenes=doc["scenes"], edges=edges, paths=paths, trees=trees)
+        return cls(directory, doc["package"], doc["scenes"], edges, paths, layouts)
 
 
 def _path_key(path: list) -> tuple:
@@ -186,27 +190,26 @@ def match_scenes(old: RunSnapshot, new: RunSnapshot):
 
 
 def _align(old_kids: list[ComponentNode], new_kids: list[ComponentNode]):
-    """Pair children by (resource_id, widget_class); positional fallback otherwise."""
+    """Pair children by (resource_id, widget_class); positional fallback otherwise.
+
+    An old child with a resource id takes the first unused new child with its
+    key; the rest pair by position in order.
+    """
+    slots: dict[tuple, deque] = {}  # key -> unused new positions, in order
+    for j, new_child in enumerate(new_kids):
+        if new_child.resource_id:
+            slots.setdefault((new_child.resource_id, new_child.widget_class), deque()).append(j)
     pairs = []
     used_new = set()
     leftover_old = []
     for old_child in old_kids:
-        match = None
-        if old_child.resource_id:
-            for j, new_child in enumerate(new_kids):
-                if j in used_new:
-                    continue
-                if (new_child.resource_id, new_child.widget_class) == (
-                    old_child.resource_id,
-                    old_child.widget_class,
-                ):
-                    match = j
-                    break
-        if match is None:
-            leftover_old.append(old_child)
-        else:
+        free = slots.get((old_child.resource_id, old_child.widget_class)) if old_child.resource_id else None
+        if free:
+            match = free.popleft()
             used_new.add(match)
             pairs.append((old_child, new_kids[match], match))
+        else:
+            leftover_old.append(old_child)
     leftover_new = [(j, c) for j, c in enumerate(new_kids) if j not in used_new]
     # Positional fallback: pair remaining children in order.
     fallback = min(len(leftover_old), len(leftover_new))
@@ -214,7 +217,7 @@ def _align(old_kids: list[ComponentNode], new_kids: list[ComponentNode]):
         j, new_child = leftover_new[i]
         pairs.append((leftover_old[i], new_child, j))
     deleted = leftover_old[fallback:]
-    added = [(j, c) for j, c in leftover_new[fallback:]]
+    added = leftover_new[fallback:]
     pairs.sort(key=lambda p: p[2])
     return pairs, added, deleted
 
@@ -257,17 +260,42 @@ def diff_trees(old: ComponentTree, new: ComponentTree, target_package: str) -> l
     return changes
 
 
+def _parse_layouts(*snapshots: RunSnapshot) -> dict[tuple[str, str], ComponentTree]:
+    """Each distinct (activity, layout text) of the snapshots, parsed once.
+
+    Every layout is parsed, used or not, so a malformed one fails the diff; its
+    error names the layout file.
+    """
+    trees = {}
+    for snapshot in snapshots:
+        for scene in snapshot.scenes:
+            key = (scene["activity"], snapshot.layouts[scene["id"]])
+            if key not in trees:
+                try:
+                    trees[key] = parse_hierarchy_dump(key[1], key[0])
+                except SceneTGError as exc:
+                    exc.args = (f"{snapshot.directory / scene['layout_ref']}: {exc}",)
+                    raise
+    return trees
+
+
 def diff_graphs(old: RunSnapshot, new: RunSnapshot) -> DiffReport:
+    trees = _parse_layouts(old, new)
     matches, added_scenes, removed_scenes, ambiguous = match_scenes(old, new)
     report = DiffReport(
         added_scenes=added_scenes, removed_scenes=removed_scenes, ambiguous_matches=ambiguous
     )
     id_map = {}
-    for key, old_id, new_id in matches:
+    for (activity, path), old_id, new_id in matches:
         id_map[old_id] = new_id
-        changes = diff_trees(old.trees[old_id], new.trees[new_id], new.package)
+        old_text, new_text = old.layouts[old_id], new.layouts[new_id]
+        # Identical bytes parse to equal trees, whose diff is empty.
+        changes = (
+            []
+            if old_text == new_text
+            else diff_trees(trees[activity, old_text], trees[activity, new_text], new.package)
+        )
         if changes or old_id != new_id:
-            activity, path = key
             report.scene_updates.append(
                 SceneUpdate(activity, [list(p) for p in path], old_id, new_id, changes)
             )

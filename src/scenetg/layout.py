@@ -36,7 +36,10 @@ class Bounds:
         m = _BOUNDS_RE.match(text.strip())
         if not m:
             raise ParseError(f"malformed bounds attribute: {text!r}")
-        return cls(*(int(g) for g in m.groups()))
+        try:
+            return cls(*map(int, m.groups()))
+        except ValueError:
+            raise ParseError(f"degenerate bounds attribute: {text!r}") from None
 
     def render(self) -> str:
         return f"[{self.left},{self.top}][{self.right},{self.bottom}]"
@@ -99,25 +102,31 @@ class Selector:
         return self.bounds.render()
 
 
-_BOOL_ATTRS = ("clickable", "checkable", "checked", "enabled", "scrollable", "long-clickable")
-
-
 def _node_from_element(elem: ET.Element, position: int) -> ComponentNode:
-    attrib = elem.attrib
-    if "class" not in attrib:
+    get = elem.attrib.get
+    widget_class, package = get("class"), get("package")
+    if widget_class is None:
         raise MissingAttribute("node is missing the 'class' attribute")
-    if "package" not in attrib:
+    if package is None:
         raise MissingAttribute("node is missing the 'package' attribute")
-    bounds = Bounds.parse(attrib["bounds"]) if "bounds" in attrib else Bounds()
-    flags = {a.replace("-", "_"): attrib.get(a, "false") == "true" for a in _BOOL_ATTRS}
+    bounds, index = get("bounds"), get("index")
+    try:
+        index = position if index is None else int(index)
+    except ValueError:
+        raise ParseError(f"malformed index attribute: {index!r}") from None
     node = ComponentNode(
-        widget_class=attrib["class"],
-        package=attrib["package"],
-        resource_id=attrib.get("resource-id", ""),
-        text=attrib.get("text", ""),
-        bounds=bounds,
-        index=int(attrib.get("index", position)),
-        **flags,
+        widget_class=widget_class,
+        package=package,
+        resource_id=get("resource-id", ""),
+        text=get("text", ""),
+        bounds=Bounds() if bounds is None else Bounds.parse(bounds),
+        clickable=get("clickable") == "true",
+        checkable=get("checkable") == "true",
+        checked=get("checked") == "true",
+        enabled=get("enabled") == "true",
+        scrollable=get("scrollable") == "true",
+        long_clickable=get("long-clickable") == "true",
+        index=index,
     )
     node.children = [_node_from_element(c, i) for i, c in enumerate(elem) if c.tag == "node"]
     return node

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -135,6 +136,32 @@ class TestOtherVerbs:
         assert "+scene" in text and "+pair" in text
         doc = json.loads(report_path.read_text())
         assert doc["summary"]["added_scenes"] == 1
+
+    @pytest.mark.parametrize(
+        "pattern, value",
+        [(r'bounds="[^"]*"', 'bounds="[10,0][0,5]"'), (r'index="[^"]*"', 'index="x"')],
+        ids=["degenerate-bounds", "non-integer-index"],
+    )
+    def test_diff_bad_layout_value_is_runtime_error_naming_file(self, explored, tmp_path, capsys, pattern, value):
+        bad = tmp_path / "bad"
+        shutil.copytree(explored, bad)
+        layout = sorted((bad / "layouts").glob("*.xml"))[0]
+        text = layout.read_text(encoding="utf-8")
+        layout.write_text(re.sub(pattern, value, text, count=1), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["diff", "--old", str(explored), "--new", str(bad), "--out", str(tmp_path / "d.json")])
+        assert code == EXIT_RUNTIME
+        assert str(layout) in capsys.readouterr().err
+
+    def test_diff_undecodable_layout_is_runtime_error_naming_file(self, explored, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(explored, bad)
+        layout = sorted((bad / "layouts").glob("*.xml"))[0]
+        layout.write_bytes(b"\xff\xfe<hierarchy/>")
+        capsys.readouterr()
+        code = main(["diff", "--old", str(bad), "--new", str(explored), "--out", str(tmp_path / "d.json")])
+        assert code == EXIT_RUNTIME
+        assert str(layout) in capsys.readouterr().err
 
     def test_diff_rejects_non_run_directory(self, tmp_path):
         code = main(["diff", "--old", str(tmp_path), "--new", str(tmp_path), "--out", str(tmp_path / "d.json")])

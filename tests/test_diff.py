@@ -1,4 +1,11 @@
+import random
+import shutil
+
+import pytest
+
 from conftest import PKG, make_node, make_tree
+from scenetg import diff
+from scenetg.cli import EXIT_RUNTIME, main
 from scenetg.diff import ChangeKind, RunSnapshot, diff_graphs, diff_trees, match_scenes
 
 PROXY = "com.fixture.proxy"
@@ -54,6 +61,70 @@ class TestDiffTrees:
             make_node(children=[make_node(rid="x:id/a"), make_node(package="other.pkg", rid="o:id/b")])
         )
         assert diff_trees(old, new, PKG) == []
+
+
+def _quadratic_align(old_kids, new_kids):
+    """The original O(n*m) child pairing, kept as the reference for `_align`."""
+    pairs = []
+    used_new = set()
+    leftover_old = []
+    for old_child in old_kids:
+        match = None
+        if old_child.resource_id:
+            for j, new_child in enumerate(new_kids):
+                if j in used_new:
+                    continue
+                if (new_child.resource_id, new_child.widget_class) == (
+                    old_child.resource_id,
+                    old_child.widget_class,
+                ):
+                    match = j
+                    break
+        if match is None:
+            leftover_old.append(old_child)
+        else:
+            used_new.add(match)
+            pairs.append((old_child, new_kids[match], match))
+    leftover_new = [(j, c) for j, c in enumerate(new_kids) if j not in used_new]
+    fallback = min(len(leftover_old), len(leftover_new))
+    for i in range(fallback):
+        j, new_child = leftover_new[i]
+        pairs.append((leftover_old[i], new_child, j))
+    deleted = leftover_old[fallback:]
+    added = [(j, c) for j, c in leftover_new[fallback:]]
+    pairs.sort(key=lambda p: p[2])
+    return pairs, added, deleted
+
+
+class TestAlign:
+    @staticmethod
+    def _kids(rng, count):
+        # Few keys, so duplicates are common; "" is a child without a resource id.
+        return [
+            make_node(rid=rng.choice(["", "", "x:id/a", "x:id/b", "x:id/c"]), cls=rng.choice(["A", "B"]))
+            for _ in range(count)
+        ]
+
+    @staticmethod
+    def _positions(result, old_kids, new_kids):
+        """The result in list positions, so that equal-valued children stay distinct."""
+        pairs, added, deleted = result
+        old_at = {id(c): i for i, c in enumerate(old_kids)}
+        new_at = {id(c): j for j, c in enumerate(new_kids)}
+        return (
+            [(old_at[id(o)], new_at[id(n)], j) for o, n, j in pairs],
+            [(j, new_at[id(c)]) for j, c in added],
+            [old_at[id(c)] for c in deleted],
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_quadratic_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            old_kids, new_kids = self._kids(rng, rng.randrange(12)), self._kids(rng, rng.randrange(12))
+            got = self._positions(diff._align(old_kids, new_kids), old_kids, new_kids)
+            want = self._positions(_quadratic_align(old_kids, new_kids), old_kids, new_kids)
+            assert got == want
 
 
 class TestMatchScenes:
@@ -128,3 +199,80 @@ class TestDiffGraphs:
         }
         assert doc["scene_updates"][0]["activity"] == "MainActivity"
         assert doc["transition_pair_updates"] == {"added": [], "removed": []}
+
+
+def _layout(out, sid):
+    return out / "layouts" / f"{sid}.xml"
+
+
+class TestDiffReadsEveryLayout:
+    """Every stored layout is parsed, so a malformed one fails the diff wherever it is."""
+
+    @pytest.fixture(scope="class")
+    def menus(self, runs):
+        v1, v2 = runs.run("nested_menu_v1.json")[1], runs.run("nested_menu_v2.json")[1]
+        matches, [added], _, _ = match_scenes(RunSnapshot.load(v1), RunSnapshot.load(v2))
+        same = [
+            (o, n)
+            for _, o, n in matches
+            if _layout(v1, o).read_bytes() == _layout(v2, n).read_bytes()
+        ]
+        assert same, "nested_menu has no byte-identical matched pair"
+        return v1, v2, added, same[0]
+
+    @pytest.mark.parametrize(
+        "case", ["unmatched-in-old", "unmatched-in-new", "identical-in-old", "identical-in-new"]
+    )
+    def test_malformed_layout_fails_the_diff(self, menus, case, tmp_path, capsys):
+        v1, v2, added, (same_old, same_new) = menus
+        old, new = tmp_path / "old", tmp_path / "new"
+        if case == "unmatched-in-old":  # the added scene seen from the reverse diff
+            shutil.copytree(v2, old)
+            shutil.copytree(v1, new)
+            bad = _layout(old, added)
+        else:
+            shutil.copytree(v1, old)
+            shutil.copytree(v2, new)
+            bad = {
+                "unmatched-in-new": _layout(new, added),
+                "identical-in-old": _layout(old, same_old),
+                "identical-in-new": _layout(new, same_new),
+            }[case]
+        bad.write_text("<hierarchy><node class='c'", encoding="utf-8")
+        code = main(["diff", "--old", str(old), "--new", str(new), "--out", str(tmp_path / "d.json")])
+        assert code == EXIT_RUNTIME
+        assert "malformed hierarchy dump" in capsys.readouterr().err
+
+
+class TestDiffWorkCounts:
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        parsed, diffed = [], []
+        real_parse, real_diff = diff.parse_hierarchy_dump, diff.diff_trees
+
+        def parse(text, activity):
+            parsed.append((activity, text))
+            return real_parse(text, activity)
+
+        def diff_trees_spy(old, new, package):
+            diffed.append((old, new))
+            return real_diff(old, new, package)
+
+        monkeypatch.setattr(diff, "parse_hierarchy_dump", parse)
+        monkeypatch.setattr(diff, "diff_trees", diff_trees_spy)
+        return parsed, diffed
+
+    def test_self_diff_parses_each_layout_once_and_diffs_no_tree(self, runs, spies):
+        parsed, diffed = spies
+        _, out, _ = runs.run("app03.json")
+        report = diff_graphs(RunSnapshot.load(out), RunSnapshot.load(out))
+        assert report.empty
+        layouts = sorted(p.read_text(encoding="utf-8") for p in (out / "layouts").glob("*.xml"))
+        assert sorted(text for _, text in parsed) == layouts
+        assert diffed == []
+
+    def test_only_the_changed_drawer_pair_is_tree_diffed(self, runs, spies):
+        _, diffed = spies
+        report = diff_graphs(_snapshot(runs, "drawer_v1.json"), _snapshot(runs, "drawer_v2.json"))
+        assert len(diffed) == 1
+        assert len(report.scene_updates[0].changes) == 1

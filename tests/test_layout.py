@@ -44,6 +44,11 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(10, 0, 0, 5)
 
+    @pytest.mark.parametrize("text", ["[10,0][0,5]", "[0,10][5,0]"])
+    def test_parsing_degenerate_bounds_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="bounds"):
+            Bounds.parse(text)
+
 
 class TestParse:
     def test_structure_and_attributes(self):
@@ -76,6 +81,14 @@ class TestParse:
         two = '<hierarchy><node class="c" package="p"/><node class="c" package="p"/></hierarchy>'
         with pytest.raises(ParseError):
             parse_hierarchy_dump(two, "A")
+
+    @pytest.mark.parametrize(
+        "attribute", ['bounds="[10,0][0,5]"', 'index="x"', 'index=""', 'index="1.5"'], ids=["bounds", "x", "empty", "float"]
+    )
+    def test_bad_value_is_parse_error(self, attribute):
+        dump = f'<hierarchy><node class="c" package="p"><node class="c" package="p" {attribute} /></node></hierarchy>'
+        with pytest.raises(ParseError):
+            parse_hierarchy_dump(dump, "A")
 
     def test_unexpected_root_element(self):
         with pytest.raises(ParseError):
