@@ -151,7 +151,9 @@ class RunSnapshot:
         edges = {
             (e["src"], e["dst"], e["event"], e["component"]) for e in doc["scene_edges"]
         }
-        return cls(directory, doc["package"], doc["scenes"], edges, paths, layouts)
+        return cls(
+            directory=directory, package=doc["package"], scenes=doc["scenes"], edges=edges, paths=paths, layouts=layouts
+        )
 
 
 def _path_key(path: list) -> tuple:

@@ -138,28 +138,23 @@ class TestOtherVerbs:
         assert doc["summary"]["added_scenes"] == 1
 
     @pytest.mark.parametrize(
-        "pattern, value",
-        [(r'bounds="[^"]*"', 'bounds="[10,0][0,5]"'), (r'index="[^"]*"', 'index="x"')],
-        ids=["degenerate-bounds", "non-integer-index"],
+        "corrupt",
+        [
+            lambda text: re.sub(r'bounds="[^"]*"', 'bounds="[10,0][0,5]"', text, count=1).encode(),
+            lambda text: re.sub(r'index="[^"]*"', 'index="x"', text, count=1).encode(),
+            lambda text: b"\xff\xfe" + text.encode(),
+            lambda text: b"<hierarchy><node class='c'",
+            lambda text: re.sub(r' class="[^"]*"', "", text, count=1).encode(),
+        ],
+        ids=["degenerate-bounds", "non-integer-index", "not-utf8", "malformed-xml", "missing-class"],
     )
-    def test_diff_bad_layout_value_is_runtime_error_naming_file(self, explored, tmp_path, capsys, pattern, value):
+    def test_diff_bad_layout_is_runtime_error_naming_file(self, explored, tmp_path, capsys, corrupt):
         bad = tmp_path / "bad"
         shutil.copytree(explored, bad)
         layout = sorted((bad / "layouts").glob("*.xml"))[0]
-        text = layout.read_text(encoding="utf-8")
-        layout.write_text(re.sub(pattern, value, text, count=1), encoding="utf-8")
+        layout.write_bytes(corrupt(layout.read_text(encoding="utf-8")))
         capsys.readouterr()
         code = main(["diff", "--old", str(explored), "--new", str(bad), "--out", str(tmp_path / "d.json")])
-        assert code == EXIT_RUNTIME
-        assert str(layout) in capsys.readouterr().err
-
-    def test_diff_undecodable_layout_is_runtime_error_naming_file(self, explored, tmp_path, capsys):
-        bad = tmp_path / "bad"
-        shutil.copytree(explored, bad)
-        layout = sorted((bad / "layouts").glob("*.xml"))[0]
-        layout.write_bytes(b"\xff\xfe<hierarchy/>")
-        capsys.readouterr()
-        code = main(["diff", "--old", str(bad), "--new", str(explored), "--out", str(tmp_path / "d.json")])
         assert code == EXIT_RUNTIME
         assert str(layout) in capsys.readouterr().err
 

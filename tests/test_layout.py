@@ -83,7 +83,9 @@ class TestParse:
             parse_hierarchy_dump(two, "A")
 
     @pytest.mark.parametrize(
-        "attribute", ['bounds="[10,0][0,5]"', 'index="x"', 'index=""', 'index="1.5"'], ids=["bounds", "x", "empty", "float"]
+        "attribute",
+        ['bounds="[10,0][0,5]"', 'index="x"', 'index=""', 'index="1.5"'],
+        ids=["bounds", "x", "empty", "float"],
     )
     def test_bad_value_is_parse_error(self, attribute):
         dump = f'<hierarchy><node class="c" package="p"><node class="c" package="p" {attribute} /></node></hierarchy>'
