@@ -24,22 +24,23 @@ from .layout import (
     serialize_tree,
 )
 
+# Non-transitive components fuzzed per page (2^cap assignments at most); the rest keep their defaults.
+FUZZ_COMPONENT_CAP = 6
+# Depth of in-activity scene expansion; back-press restores try this many presses plus two.
+MAX_DEPTH_PER_ACTIVITY = 20
+
 
 @dataclass
 class ExplorationConfig:
     dynamic_timeout: float = 1800.0
     rng_seed: int = 0
-    fuzz_component_cap: int = 6
     enable_fuzzing: bool = True
     enable_indirect: bool = True
     enable_scene_id: bool = True
-    max_depth_per_activity: int = 20
 
     def __post_init__(self):
         if not self.dynamic_timeout > 0:  # also rejects NaN, which would never time out
             raise ValueError("dynamic_timeout must be positive")
-        if self.fuzz_component_cap < 0:
-            raise ValueError("fuzz_component_cap must be >= 0")
 
 
 class NonTransitiveKind(str, Enum):
@@ -89,7 +90,7 @@ def fuzz_assignments(
         kind = non_transitive_kind(node.widget_class)
         if kind is not None:
             targets.append((node, kind))
-    targets = targets[: config.fuzz_component_cap]
+    targets = targets[:FUZZ_COMPONENT_CAP]
     k = len(targets)
     assignments = []
     for bits in range(2 ** k):
@@ -110,7 +111,7 @@ def fuzz_assignments(
     return assignments
 
 
-def apply_assignment(driver, assignment):
+def apply_assignment(driver, assignment, target_package: str):
     """Drive the page into the requested widget states.
 
     Returns (events, missing): `events` is the (kind, selector, value) list of
@@ -120,7 +121,7 @@ def apply_assignment(driver, assignment):
     events = []
     missing = []
     for selector, kind, value in assignment:
-        node = match_component(driver.current_tree(), selector)
+        node = match_component(driver.current_tree(), selector, target_package)
         if node is None:
             missing.append(selector)
             continue
@@ -141,9 +142,7 @@ class ExplorationTimeout(Exception):
 
 @dataclass
 class _RunCtx:
-    activity: str
     run_id: str
-    assignment: list
     expanded: set = field(default_factory=set)
 
 
@@ -261,7 +260,7 @@ class Explorer:
             event, component = self.atg.edge_action(a, b)
             tree = self.driver.current_tree()
             activity = tree.source_activity
-            if match_component(tree, component) is None:
+            if match_component(tree, component, self.package) is None:
                 self._record("replay", activity, src_sid, component.describe(), "component missing")
                 return False
             self.driver.tap(component)
@@ -313,12 +312,14 @@ class Explorer:
             if idx > 0 and not self._relaunch(act.name):
                 self._record("relaunch", act.name, outcome="failed; remaining assignments skipped")
                 break
-            events, missing = self._apply_assignment(act.name, assignment)
+            events, missing = apply_assignment(self.driver, assignment, self.package)
+            for event, selector, _ in events:
+                self._record(event.value.lower(), act.name, selector=selector.describe(), outcome="fuzz")
             for selector in missing:
                 self._record("fuzz", act.name, selector=selector.describe(), outcome="selector missing")
-            run = _RunCtx(activity=act.name, run_id=f"{act.name}#{idx}", assignment=assignment)
+            run = _RunCtx(run_id=f"{act.name}#{idx}")
             try:
-                self._explore_scene(run, depth=0, path=list(events))
+                self._explore_scene(run, depth=0, path=events)
             except (DriverError, SelectorNotFound) as exc:
                 self._record("abort", act.name, outcome=f"driver error: {exc}")
                 self.outcomes.setdefault(act.name, {}).setdefault("notes", []).append(str(exc))
@@ -328,17 +329,11 @@ class Explorer:
         lookup = getattr(self.driver, "input_type_of", None)
         return lookup(selector) if lookup else None
 
-    def _apply_assignment(self, act_name: str, assignment):
-        events, missing = apply_assignment(self.driver, assignment)
-        for event, selector, value in events:
-            self._record(event.value.lower(), act_name, selector=selector.describe(), outcome="fuzz")
-        return events, missing
-
     def _explore_scene(self, run: _RunCtx, depth: int, path: list) -> None:
         tree = self.driver.current_tree()
         activity = tree.source_activity
         sid = self._record_scene(tree, path)
-        if sid in run.expanded or depth >= self.config.max_depth_per_activity:
+        if sid in run.expanded or depth >= MAX_DEPTH_PER_ACTIVITY:
             return
         run.expanded.add(sid)
         self._record("expand", activity, sid, outcome=f"run={run.run_id}")
@@ -353,7 +348,7 @@ class Explorer:
                 self.atg.add_edge(ActivityEdge(activity, nact, EventKind.TAP, selector))
                 self.scenetg.add_edge(SceneEdge(sid, nsid, EventKind.TAP, selector))
                 self._record("tap", activity, sid, selector.describe(), f"activity -> {nact}")
-                self._restore(run, activity, sid, path)
+                self._restore(activity, sid, path)
             else:
                 nsid = self._state_key(ntree)
                 if nsid == sid:
@@ -364,11 +359,12 @@ class Explorer:
                 self.scenetg.add_edge(SceneEdge(sid, nsid, EventKind.TAP, selector))
                 self._record("tap", activity, sid, selector.describe(), f"scene -> {nsid[:8]}")
                 self._explore_scene(run, depth + 1, path + [step])
-                self._restore(run, activity, sid, path)
+                self._restore(activity, sid, path)
 
-    def _restore(self, run: _RunCtx, act_name: str, sid: str, path: list) -> None:
-        """Back-press until the source scene is observed; relaunch-and-replay otherwise."""
-        for _ in range(self.config.max_depth_per_activity + 2):
+    def _restore(self, act_name: str, sid: str, path: list) -> None:
+        """Back-press until the source scene is observed; otherwise relaunch and replay
+        `path`, which holds every event issued on the fresh instance, fuzz events first."""
+        for _ in range(MAX_DEPTH_PER_ACTIVITY + 2):
             if not self.driver.running:
                 break
             tree = self.driver.current_tree()
@@ -378,7 +374,6 @@ class Explorer:
             self._record("back", tree.source_activity, outcome="rollback")
         if not self._relaunch(act_name):
             raise DriverError(f"cannot restore {act_name}: relaunch failed")
-        self._apply_assignment(act_name, run.assignment)
         for event, selector, value in path:
             if event is EventKind.TAP:
                 self.driver.tap(selector)

@@ -45,6 +45,3 @@ class DriverError(SceneTGError):
 class SelectorNotFound(DriverError):
     """No component on the current page matches the selector."""
 
-
-class AmbiguityWarning(Warning):
-    """More than one component matched a selector; first BFS match was used."""

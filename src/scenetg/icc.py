@@ -5,9 +5,8 @@ from __future__ import annotations
 import calendar
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import UnknownExtraType
 
@@ -37,23 +36,11 @@ INPUT_TYPE_TO_EXTRA = {
 @dataclass(frozen=True)
 class IccMessage:
     target_activity: str
-    action: Optional[str] = None
-    category: Optional[str] = None
-    data_uri: Optional[str] = None
     extras: tuple = ()  # of (key, ExtraType, rendered value)
 
     def __post_init__(self):
         if not self.target_activity:
             raise ValueError("target_activity must be nonempty")
-
-    def to_json(self) -> dict:
-        return {
-            "target_activity": self.target_activity,
-            "action": self.action,
-            "category": self.category,
-            "data_uri": self.data_uri,
-            "extras": [[k, t.value, v] for k, t, v in self.extras],
-        }
 
 
 def _rng(extra_type: ExtraType, seed: int, salt: str = "") -> random.Random:

@@ -8,14 +8,12 @@ and bounds use the ``[l,t][r,b]`` form.
 from __future__ import annotations
 
 import re
-import warnings
 import xml.etree.ElementTree as ET
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 from xml.sax.saxutils import quoteattr
 
-from .errors import AmbiguityWarning, MissingAttribute, ParseError
+from .errors import MissingAttribute, ParseError
 
 _BOUNDS_RE = re.compile(r"^\[(-?\d+),(-?\d+)\]\[(-?\d+),(-?\d+)\]$")
 
@@ -227,22 +225,9 @@ def find_clickable(tree: ComponentTree, target_package: str) -> list[ComponentNo
     return [n for n in bfs_nodes(tree, target_package) if n.clickable]
 
 
-def match_component(tree: ComponentTree, selector: Selector) -> Optional[ComponentNode]:
-    """First BFS match for the selector over the whole tree, or None.
+def match_component(tree: ComponentTree, selector: Selector, target_package: str) -> Optional[ComponentNode]:
+    """The first node of `bfs_nodes(tree, target_package)` the selector matches, or None.
 
-    Records an AmbiguityWarning (never raises) when more than one node matches.
+    This is what a selector means to the engine and the simulator alike.
     """
-    matches = []
-    queue = deque([tree.root])
-    while queue:
-        node = queue.popleft()
-        if selector.matches(node):
-            matches.append(node)
-        queue.extend(node.children)
-    if len(matches) > 1:
-        warnings.warn(
-            f"selector {selector.describe()!r} matched {len(matches)} nodes; using first",
-            AmbiguityWarning,
-            stacklevel=2,
-        )
-    return matches[0] if matches else None
+    return next((n for n in bfs_nodes(tree, target_package) if selector.matches(n)), None)

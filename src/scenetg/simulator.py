@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import DanglingReference, DriverError, SchemaError, SelectorNotFound
 from .graphs import EventKind
 from .icc import ExtraType, IccMessage
-from .layout import Bounds, ComponentNode, ComponentTree, Selector, bfs_nodes
+from .layout import Bounds, ComponentNode, ComponentTree, Selector, match_component
 
 
 class LaunchReason(str, Enum):
@@ -549,10 +549,9 @@ class SimulatorSession:
         return ComponentTree(root=root, source_activity=frame.instance.model.name), owners
 
     def _resolve(self, frame: _Frame, selector: Selector) -> WidgetModel:
-        """The widget behind the first BFS node the selector matches: the node `match_component` picks."""
+        """The widget behind the node `match_component` picks on the current page."""
         tree, owners = self._current_page()
-        node = next((n for n in bfs_nodes(tree, self.model.package) if selector.matches(n)), None)
-        widget = owners.get(id(node))
+        widget = owners.get(id(match_component(tree, selector, self.model.package)))
         if widget is None:
             raise SelectorNotFound(f"{selector.describe()!r} not on scene {frame.scene.name!r}")
         return widget

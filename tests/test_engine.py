@@ -15,7 +15,7 @@ from scenetg.engine import (
 )
 from scenetg.icc import IccMessage
 from scenetg.layout import Selector, serialize_tree
-from scenetg.simulator import simulate
+from scenetg.simulator import parse_app_model, simulate
 
 
 def _fuzz_page(extra=()):
@@ -81,10 +81,38 @@ class TestApplyAssignment:
             (Selector(resource_id=f"{pkg}:id/sw_mode"), NonTransitiveKind.SWITCH, True),
             (Selector(resource_id=f"{pkg}:id/sw_ghost"), NonTransitiveKind.SWITCH, True),  # missing
         ]
-        events, missing = apply_assignment(driver, assignment)
+        events, missing = apply_assignment(driver, assignment, pkg)
         assert [e[0].value for e in events] == ["SET_TEXT", "TOGGLE"]
         assert [s.resource_id for s in missing] == [f"{pkg}:id/sw_ghost"]
         assert 'text="hello"' in serialize_tree(driver.current_tree())
+
+
+# One activity whose `go` clears the stack, so every restore after it is a
+# relaunch-and-replay; `go2` leads on only while the CheckBox is checked.
+_REPLAY_MODEL = {
+    "package": PKG,
+    "activities": [
+        {
+            "name": "MainActivity",
+            "scenes": [
+                {
+                    "name": "entry",
+                    "widgets": [
+                        {"id": "chk", "class": "android.widget.CheckBox", "checkable": True},
+                        {"id": "go", "class": "android.widget.Button", "clickable": True},
+                        {"id": "go2", "class": "android.widget.Button", "clickable": True},
+                    ],
+                    "transitions": [
+                        {"widget": "go", "target": "scene:cleared", "clear_stack": True},
+                        {"widget": "go2", "target": "scene:gated", "guard": {"widget": "chk", "checked": True}},
+                    ],
+                },
+                {"name": "cleared", "widgets": [{"id": "lbl_cleared", "class": "android.widget.TextView"}]},
+                {"name": "gated", "widgets": [{"id": "lbl_gated", "class": "android.widget.TextView"}]},
+            ],
+        }
+    ],
+}
 
 
 class TestExploration:
@@ -167,6 +195,16 @@ class TestExploration:
         launches = [r for r in result.trace if r["action"] == "launch"]
         assert any(r["outcome"] == "NOT_EXPORTED" for r in launches)
 
+    @pytest.mark.parametrize("scene_ids, stats", [(True, (3, 2)), (False, (4, 3))])
+    def test_relaunch_replay_restores_the_fuzzed_state(self, scene_ids, stats):
+        # The checked run must restore its CheckBox after `go`, or `go2` never leads on:
+        # the replayed path already holds the fuzz toggle.
+        model = parse_app_model(_REPLAY_MODEL)
+        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=scene_ids))
+        got = result.report["stats"]
+        assert (got["scenes"], got["transition_pairs"]) == stats
+        assert "notes" not in result.report["outcomes"]["MainActivity"]
+
     @pytest.mark.parametrize("name", ["fig5a.json", "guarded.json", "app01.json"])
     def test_each_page_is_hashed_once(self, name, monkeypatch):
         seen = _spy(monkeypatch, identity, "scene_id")
@@ -201,11 +239,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExplorationConfig(dynamic_timeout=0)
 
-    def test_rejects_negative_cap(self):
-        with pytest.raises(ValueError):
-            ExplorationConfig(fuzz_component_cap=-1)
-
     def test_to_json_roundtrip_keys(self):
         doc = asdict(ExplorationConfig())
         assert doc["enable_fuzzing"] and doc["enable_indirect"] and doc["enable_scene_id"]
-        assert doc["fuzz_component_cap"] == 6

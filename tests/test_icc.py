@@ -61,13 +61,6 @@ def test_icc_message_requires_target():
         IccMessage(target_activity="")
 
 
-def test_icc_message_to_json():
-    msg = IccMessage("A", extras=(("k", ExtraType.NUMBER, "42"),))
-    doc = msg.to_json()
-    assert doc["target_activity"] == "A"
-    assert doc["extras"] == [["k", "NUMBER", "42"]]
-
-
 class _ActSpec:
     def __init__(self, name, required_extras):
         self.name = name

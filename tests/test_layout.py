@@ -3,7 +3,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 
 from conftest import PKG, make_node, make_tree
-from scenetg.errors import AmbiguityWarning, MissingAttribute, ParseError
+from scenetg.errors import MissingAttribute, ParseError
 from scenetg.layout import (
     Bounds,
     Selector,
@@ -186,13 +186,18 @@ class TestQueries:
 
     def test_match_component_first_bfs_hit(self):
         tree = parse_hierarchy_dump(DUMP, "MainActivity")
-        node = match_component(tree, Selector(resource_id="com.example.app:id/lbl"))
+        node = match_component(tree, Selector(resource_id="com.example.app:id/lbl"), PKG)
         assert node is not None and node.text == "hello"
-        assert match_component(tree, Selector(resource_id="nope")) is None
-
-    def test_match_component_warns_on_ambiguity(self):
-        kids = [make_node(rid="x:id/dup", text="first"), make_node(rid="x:id/dup", text="second")]
+        assert match_component(tree, Selector(resource_id="nope"), PKG) is None
+        # A duplicate id resolves to its first BFS occurrence: the shallower node, then the earlier sibling.
+        deep = make_node(rid="x:id/dup", text="deep")
+        kids = [make_node(children=[deep]), make_node(rid="x:id/dup", text="first"), make_node(rid="x:id/dup", text="second")]
         tree = make_tree(make_node(children=kids))
-        with pytest.warns(AmbiguityWarning):
-            node = match_component(tree, Selector(resource_id="x:id/dup"))
-        assert node.text == "first"
+        assert match_component(tree, Selector(resource_id="x:id/dup"), PKG).text == "first"
+
+    def test_match_component_skips_foreign_package_nodes(self):
+        # The overlay's node carries the same id and comes first in a whole-tree BFS.
+        foreign = make_node(rid=f"{PKG}:id/ok", package="com.android.systemui", text="overlay")
+        own = make_node(cls="android.widget.LinearLayout", children=[make_node(rid=f"{PKG}:id/ok", text="app")])
+        tree = make_tree(make_node(children=[foreign, own]))
+        assert match_component(tree, Selector(resource_id=f"{PKG}:id/ok"), PKG).text == "app"

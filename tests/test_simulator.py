@@ -5,7 +5,7 @@ import pytest
 from conftest import load_benchmark
 from scenetg.errors import DanglingReference, SchemaError, SelectorNotFound
 from scenetg.icc import IccMessage
-from scenetg.layout import Selector, parse_hierarchy_dump, serialize_tree
+from scenetg.layout import Selector, match_component, parse_hierarchy_dump, serialize_tree
 from scenetg.simulator import LaunchReason, load_app_model, parse_app_model, simulate
 
 PKG = "com.fixture.sim"
@@ -422,6 +422,17 @@ class TestSession:
         go = next(n for n in driver.current_tree().root.iter_subtree() if n.resource_id == f"{PKG}:id/go")
         driver.tap(Selector(widget_class=button, bounds=go.bounds))
         assert f"{PKG}:id/lbl_next" in current_dump(driver)[0]
+
+    def test_tap_acts_on_the_node_match_component_picks(self):
+        # A Switch nested under lbl_title shares sw_dark's id: it renders first, but BFS reaches sw_dark first.
+        nested = {"id": "sw_nested", "rid": "sw_dark", "class": "android.widget.Switch", "checkable": True}
+        driver = simulate(parse_app_model(_mutated(W + (0, "children"), [nested])))
+        assert driver.launch_activity(IccMessage("MainActivity")).success
+        tree = driver.current_tree()
+        picked = match_component(tree, sel("sw_dark"), PKG)
+        assert picked is not next(n for n in tree.root.iter_subtree() if n.resource_id == f"{PKG}:id/sw_dark")
+        driver.tap(sel("sw_dark"))
+        assert [n.bounds for n in driver.current_tree().root.iter_subtree() if n.checked] == [picked.bounds]
 
     def test_selector_not_found(self, driver):
         with pytest.raises(SelectorNotFound):
