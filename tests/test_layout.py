@@ -1,3 +1,4 @@
+import warnings
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -194,6 +195,15 @@ class TestQueries:
         kids = [make_node(children=[deep]), make_node(rid="x:id/dup", text="first"), make_node(rid="x:id/dup", text="second")]
         tree = make_tree(make_node(children=kids))
         assert match_component(tree, Selector(resource_id="x:id/dup"), PKG).text == "first"
+
+    def test_match_component_resolves_ambiguity_silently(self):
+        # Several matches are not an error or a warning: the first BFS node wins.
+        kids = [make_node(rid="x:id/dup", text="first"), make_node(rid="x:id/dup", text="second")]
+        tree = make_tree(make_node(children=kids))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            node = match_component(tree, Selector(resource_id="x:id/dup"), PKG)
+        assert node.text == "first"
 
     def test_match_component_skips_foreign_package_nodes(self):
         # The overlay's node carries the same id and comes first in a whole-tree BFS.
