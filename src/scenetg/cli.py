@@ -1,7 +1,7 @@
 """Command-line entry point: explore, diff, export, stats, validate-model.
 
 Exit codes: 0 success, 1 usage/input error, 2 runtime failure,
-3 timeout with partial results written.
+3 partial results written (the wall-clock timeout or the action budget ran out).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", required=True, help="app model JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dynamic-timeout", type=float, default=1800.0)
+    p.add_argument("--max-actions", type=int, default=None, help="driver actions before the run stops partial")
     p.add_argument("--no-fuzzing", action="store_true")
     p.add_argument("--no-indirect", action="store_true")
     p.add_argument("--no-scene-id", action="store_true")
@@ -85,6 +86,7 @@ def _cmd_explore(args) -> int:
             enable_fuzzing=not args.no_fuzzing,
             enable_indirect=not args.no_indirect,
             enable_scene_id=not args.no_scene_id,
+            max_actions=args.max_actions,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None

@@ -37,10 +37,13 @@ class ExplorationConfig:
     enable_fuzzing: bool = True
     enable_indirect: bool = True
     enable_scene_id: bool = True
+    max_actions: Optional[int] = None  # driver actions (launches included) before the run stops partial
 
     def __post_init__(self):
         if not self.dynamic_timeout > 0:  # also rejects NaN, which would never time out
             raise ValueError("dynamic_timeout must be positive")
+        if self.max_actions is not None and not (type(self.max_actions) is int and self.max_actions > 0):
+            raise ValueError("max_actions must be a positive integer")
 
 
 class NonTransitiveKind(str, Enum):
@@ -137,7 +140,49 @@ def apply_assignment(driver, assignment, target_package: str):
 
 
 class ExplorationTimeout(Exception):
-    pass
+    """The run stops partial; `args[0]` is the report's `stop_reason`: "time" or "actions"."""
+
+
+class _BudgetedDriver:
+    """The driver as the explorer sees it: the one place that counts the calls that act.
+
+    The call that would exceed `max_actions` raises ExplorationTimeout("actions")
+    before it reaches the driver. Every other attribute is the driver's own.
+    """
+
+    def __init__(self, driver, max_actions: Optional[int]):
+        self._driver = driver
+        self._max_actions = max_actions
+        self.actions = 0
+        self.current_tree = driver.current_tree
+
+    def __getattr__(self, name):
+        return getattr(self._driver, name)
+
+    def _act(self) -> None:
+        if self.actions == self._max_actions:
+            raise ExplorationTimeout("actions")
+        self.actions += 1
+
+    def launch_activity(self, icc):
+        self._act()
+        return self._driver.launch_activity(icc)
+
+    def tap(self, selector) -> None:
+        self._act()
+        self._driver.tap(selector)
+
+    def set_text(self, selector, value) -> None:
+        self._act()
+        self._driver.set_text(selector, value)
+
+    def toggle(self, selector) -> None:
+        self._act()
+        self._driver.toggle(selector)
+
+    def press_back(self) -> None:
+        self._act()
+        self._driver.press_back()
 
 
 @dataclass
@@ -160,7 +205,7 @@ class Explorer:
 
     def __init__(self, model, driver, config: ExplorationConfig, out_dir=None):
         self.model = model
-        self.driver = driver
+        self.driver = _BudgetedDriver(driver, config.max_actions)
         self.config = config
         self.out_dir = Path(out_dir) if out_dir else None
         self.package = model.package
@@ -187,7 +232,7 @@ class Explorer:
 
     def _check_timeout(self):
         if self._deadline is not None and time.monotonic() > self._deadline:
-            raise ExplorationTimeout()
+            raise ExplorationTimeout("time")
 
     def _record(self, action: str, activity: str = "", scene_id: str = "", selector: str = "", outcome: str = ""):
         self.step += 1
@@ -394,7 +439,7 @@ class Explorer:
         self._deadline = start + config.dynamic_timeout
         remaining = list(self.model.activities)
         rounds = 0
-        partial = False
+        stop_reason = None
         try:
             while remaining:
                 rounds += 1
@@ -427,9 +472,10 @@ class Explorer:
                     for act in next_round:
                         self.outcomes.setdefault(act.name, {})["outcome"] = "FAILED"
                     remaining = []
-        except ExplorationTimeout:
-            partial = True
-            self._record("timeout", outcome="dynamic timeout reached; partial results")
+        except ExplorationTimeout as stop:
+            stop_reason = stop.args[0]
+            outcome = "dynamic timeout reached" if stop_reason == "time" else "action budget spent"
+            self._record("timeout", outcome=outcome + "; partial results")
         for act in self.model.activities:
             entry = self.outcomes.setdefault(act.name, {})
             entry.setdefault("outcome", "FAILED")
@@ -440,7 +486,8 @@ class Explorer:
             "seed": config.rng_seed,
             "config": asdict(config),
             "rounds": rounds,
-            "partial": partial,
+            "partial": stop_reason is not None,
+            "stop_reason": stop_reason,
             "wall_time_s": round(wall, 6),
             "outcomes": {act.name: self.outcomes[act.name] for act in self.model.activities},
             "stats": stats(self.scenetg),

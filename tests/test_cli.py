@@ -39,9 +39,10 @@ class TestExplore:
         assert "error" in capsys.readouterr().err
 
     def test_timeout_returns_exit_3(self, tmp_path, capsys):
-        code, out = explore_to(tmp_path, "palette.json", "--no-scene-id", "--dynamic-timeout", "2")
+        code, out = explore_to(tmp_path, "palette.json", "--no-scene-id", "--max-actions", "300")
         assert code == EXIT_TIMEOUT
         assert json.loads((out / "report.json").read_text())["partial"]
+        assert json.loads((out / "report.json").read_text())["stop_reason"] == "actions"
 
     def test_seed_env_var_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCENETG_SEED", "17")
@@ -60,6 +61,13 @@ class TestExplore:
         code, out = explore_to(tmp_path, "app10.json", "--dynamic-timeout", timeout)
         assert code == EXIT_USAGE
         assert "dynamic_timeout" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "2.5", "ten"])
+    def test_bad_action_budget_is_usage_error(self, tmp_path, capsys, budget):
+        code, out = explore_to(tmp_path, "app10.json", "--max-actions", budget)
+        assert code == EXIT_USAGE
+        assert re.search(r"max.actions", capsys.readouterr().err)
         assert not out.exists()
 
     def test_non_integer_seed_env_var_is_usage_error(self, tmp_path, capsys, monkeypatch):

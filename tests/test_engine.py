@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -160,8 +161,32 @@ class TestExploration:
         }
 
     def test_timeout_marks_partial(self, runs):
-        result, _, _ = runs.run("palette.json", enable_scene_id=False, dynamic_timeout=2)
+        result, _, _ = runs.run("palette.json", enable_scene_id=False, max_actions=1000)
         assert result.report["partial"]
+        assert result.report["stats"]["scenes"] >= 20
+        assert result.report["stop_reason"] == "actions"
+        assert result.trace[-1]["outcome"] == "action budget spent; partial results"
+
+    @pytest.mark.parametrize("budget", [1, 25, 300])
+    def test_action_budget_caps_driver_actions(self, budget):
+        model = load_benchmark("palette.json")
+        explorer = engine.Explorer(model, simulate(model), ExplorationConfig(enable_scene_id=False, max_actions=budget))
+        result = explorer.explore()
+        assert explorer.driver.actions == budget
+        assert result.report["partial"] and result.report["stop_reason"] == "actions"
+
+    def test_complete_run_has_no_stop_reason(self, runs):
+        result, _, _ = runs.run("palette.json")
+        assert not result.report["partial"] and result.report["stop_reason"] is None
+
+    def test_wall_clock_timeout_marks_partial(self, monkeypatch):
+        # Each clock reading advances one second, so the deadline falls after a fixed number of checks.
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(engine, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        model = load_benchmark("palette.json")
+        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False, dynamic_timeout=50))
+        assert result.report["partial"] and result.report["stop_reason"] == "time"
+        assert result.trace[-1]["outcome"] == "dynamic timeout reached; partial results"
         assert result.report["stats"]["scenes"] >= 20
 
     def test_determinism_across_runs(self, tmp_path):
@@ -238,6 +263,11 @@ class TestConfig:
     def test_rejects_bad_timeouts(self):
         with pytest.raises(ValueError):
             ExplorationConfig(dynamic_timeout=0)
+
+    @pytest.mark.parametrize("budget", [0, -3, 2.5, True, "10"])
+    def test_rejects_bad_action_budgets(self, budget):
+        with pytest.raises(ValueError, match="max_actions"):
+            ExplorationConfig(max_actions=budget)
 
     def test_to_json_roundtrip_keys(self):
         doc = asdict(ExplorationConfig())
