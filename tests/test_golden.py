@@ -51,8 +51,9 @@ def _locked_runs():
 
 def test_every_bundled_model_is_locked():
     bundled = sorted(p.name for p in Path(str(benchmark_path("app01.json"))).parent.glob("*.json"))
-    assert sorted(GOLDEN["default"]) == bundled
     assert sorted(GOLDEN) == ["default"] + [f"{flag}=False" for flag in ABLATIONS]
+    for label, locked in GOLDEN.items():
+        assert sorted(locked) == bundled, label
 
 
 @pytest.mark.parametrize("label, name", _locked_runs())
