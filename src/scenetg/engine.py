@@ -28,6 +28,9 @@ from .layout import (
 FUZZ_COMPONENT_CAP = 6
 # Depth of in-activity scene expansion; back-press restores try this many presses plus two.
 MAX_DEPTH_PER_ACTIVITY = 20
+# Tree objects whose state key the explorer keeps; past it the oldest is dropped,
+# and that tree is keyed anew if the driver returns it again.
+KEYED_TREES_CAP = 1024
 
 
 @dataclass
@@ -218,10 +221,11 @@ class Explorer:
         self.launch_methods: dict[str, tuple] = {}
         self.outcomes: dict[str, dict] = {}
         self._deadline = None
-        # (tree, key, xml) of the tree keyed last. A driver returns the same tree
-        # object until the page changes, and `_state_key` is asked for one page
-        # several times in a row. `xml` is the text the raw-state key hashed.
-        self._keyed: tuple[Optional[ComponentTree], str, Optional[str]] = (None, "", None)
+        # id(tree) -> (tree, key, xml) for each tree keyed so far, up to KEYED_TREES_CAP.
+        # A driver may return the same tree object whenever the page state recurs, so
+        # each object is keyed once. The entry holds the tree, so its id is not reused
+        # while the entry lives. `xml` is the text the raw-state key hashed.
+        self._keys: dict[int, tuple[ComponentTree, str, Optional[str]]] = {}
         for caller, callee, event, component in model.seed_atg:
             selector = Selector(resource_id=f"{self.package}:id/{component}")
             self.atg.add_edge(
@@ -247,24 +251,31 @@ class Explorer:
             }
         )
 
-    def _state_key(self, tree: ComponentTree) -> str:
-        if self._keyed[0] is not tree:
+    def _keyed(self, tree: ComponentTree) -> tuple[ComponentTree, str, Optional[str]]:
+        entry = self._keys.get(id(tree))
+        if entry is None:
             if self.config.enable_scene_id:
-                self._keyed = (tree, identity.scene_id(tree, self.package), None)
+                entry = (tree, identity.scene_id(tree, self.package), None)
             else:
                 xml = serialize_tree(tree)
-                self._keyed = (tree, identity.raw_state_id(xml), xml)
-        return self._keyed[1]
+                entry = (tree, identity.raw_state_id(xml), xml)
+            self._keys[id(tree)] = entry
+            if len(self._keys) > KEYED_TREES_CAP:
+                del self._keys[next(iter(self._keys))]
+        return entry
+
+    def _state_key(self, tree: ComponentTree) -> str:
+        return self._keyed(tree)[1]
 
     def _record_scene(self, tree: ComponentTree, path: list) -> str:
-        sid = self._state_key(tree)
+        _, sid, xml = self._keyed(tree)
         if sid in self.scenetg.nodes:
             return sid
         layout_ref = f"layouts/{sid}.xml"
         if self.out_dir:
             layout_path = self.out_dir / layout_ref
             layout_path.parent.mkdir(parents=True, exist_ok=True)
-            xml = self._keyed[2]  # the tree was just keyed; under scene ids nothing was serialised
+            # Under scene ids the key serialised nothing.
             layout_path.write_text(xml if xml is not None else serialize_tree(tree), encoding="utf-8")
         shot = self.driver.screenshot_ref()
         self.scenetg.add_node(sid, tree.source_activity, layout_ref, shot)

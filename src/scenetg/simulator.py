@@ -369,16 +369,28 @@ _EXTRA_FORMATS = {
 }
 
 
+# Distinct pages a session keeps rendered; past it the oldest is dropped, and a
+# return to that page state renders it anew.
+PAGE_CACHE_SIZE = 1024
+
+
 class _ActivityInstance:
+    """One activity instance's widget states: one slot per widget of the activity, by id, in model order."""
+
     def __init__(self, model: ActivityModel):
         self.model = model
-        self.states = {wid: {"text": w.text, "checked": w.checked, "count": 0} for wid, w in model.widgets.items()}
+        self.text = {wid: w.text for wid, w in model.widgets.items()}
+        self.checked = {wid: w.checked for wid, w in model.widgets.items()}
+        self.count = dict.fromkeys(model.widgets, 0)  # taps counted by `increment`; shown only through `text`
 
     def holds(self, cond: Condition) -> bool:
-        st = self.states[cond.widget]
         if cond.prop == "checked":
-            return st["checked"] == cond.value
-        return (st["text"] != "") == cond.value
+            return self.checked[cond.widget] == cond.value
+        return (self.text[cond.widget] != "") == cond.value
+
+    def page_key(self, scene: SceneModel) -> tuple:
+        """Everything `_render` reads of a frame on this instance showing `scene`."""
+        return (self.model.name, scene.name, tuple(self.text.values()), tuple(self.checked.values()))
 
 
 @dataclass
@@ -394,7 +406,10 @@ class SimulatorSession:
         self.model = model
         self._stack: list[_Frame] = []
         self._shots = 0
-        # The current page as `_render` returned it; None once an action may have changed it.
+        # Every page rendered so far (up to PAGE_CACHE_SIZE), by `page_key`: a page state seen
+        # again gives back the same tree. `_page` is the current one; None once an action may
+        # have changed it.
+        self._pages: dict[tuple, tuple[ComponentTree, dict[int, WidgetModel]]] = {}
         self._page: Optional[tuple[ComponentTree, dict[int, WidgetModel]]] = None
 
     # -- driver contract ----------------------------------------------------
@@ -437,7 +452,7 @@ class SimulatorSession:
     def set_text(self, selector: Selector, value: str) -> None:
         frame = self._top()
         widget = self._resolve(frame, selector)
-        frame.instance.states[widget.id]["text"] = value
+        frame.instance.text[widget.id] = value
         self._page = None
 
     def toggle(self, selector: Selector) -> None:
@@ -471,24 +486,24 @@ class SimulatorSession:
 
     def _flip(self, frame: _Frame, widget: WidgetModel) -> None:
         if widget.checkable:
-            st = frame.instance.states[widget.id]
-            st["checked"] = not st["checked"]
+            checked = frame.instance.checked
+            checked[widget.id] = not checked[widget.id]
             self._page = None
 
     def _fire(self, frame: _Frame, tr: TransitionModel) -> None:
         self._page = None
+        instance = frame.instance
         if tr.set_text:
             wid, value = tr.set_text
-            frame.instance.states[wid]["text"] = value
+            instance.text[wid] = value
         if tr.increment:
-            st = frame.instance.states[tr.increment]
-            st["count"] += 1
-            st["text"] = str(st["count"])
+            instance.count[tr.increment] += 1
+            instance.text[tr.increment] = str(instance.count[tr.increment])
         if tr.target is None:
             return
         kind, name = tr.target
         if kind == "scene":
-            new_frame = _Frame(frame.instance, frame.instance.model.scenes[name])
+            new_frame = _Frame(instance, instance.model.scenes[name])
         else:
             target = self.model.activity(name)
             new_frame = _Frame(_ActivityInstance(target), target.entry_scene)
@@ -509,16 +524,15 @@ class SimulatorSession:
 
     def _render_widget(self, widget: WidgetModel, instance: _ActivityInstance, index: int, owners: dict) -> ComponentNode:
         k = len(owners) + 1  # preorder position: each widget node gets its own 100 px row
-        st = instance.states[widget.id]
         node = ComponentNode(
             widget_class=widget.widget_class,
             package=self.model.package,
             resource_id=self._resource_id(widget.rid or widget.id),
-            text=st["text"],
+            text=instance.text[widget.id],
             bounds=Bounds(0, k * 100, 1080, k * 100 + 100),
             clickable=widget.clickable,
             checkable=widget.checkable,
-            checked=st["checked"],
+            checked=instance.checked[widget.id],
             enabled=True,
             index=index,
         )
@@ -528,9 +542,16 @@ class SimulatorSession:
         return node
 
     def _current_page(self) -> tuple[ComponentTree, dict[int, WidgetModel]]:
-        """The top frame's page; rendered once, then reused until an action changes the page."""
+        """The top frame's page, rendered only the first time its page state is seen."""
         if self._page is None:
-            self._page = self._render(self._top())
+            frame = self._top()
+            key = frame.instance.page_key(frame.scene)
+            page = self._pages.get(key)
+            if page is None:
+                page = self._pages[key] = self._render(frame)
+                if len(self._pages) > PAGE_CACHE_SIZE:
+                    del self._pages[next(iter(self._pages))]
+            self._page = page
         return self._page
 
     def _render(self, frame: _Frame) -> tuple[ComponentTree, dict[int, WidgetModel]]:

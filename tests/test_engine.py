@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from scenetg.engine import (
     explore,
     fuzz_assignments,
     non_transitive_kind,
+    write_outputs,
 )
 from scenetg.icc import IccMessage
 from scenetg.layout import Selector, serialize_tree
@@ -244,6 +246,65 @@ class TestExploration:
         result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False), out_dir=tmp_path)
         assert len(list((tmp_path / "layouts").glob("*.xml"))) == result.report["stats"]["scenes"]
         assert seen and len({id(tree) for tree in seen}) == len(seen)
+
+
+class _CopyingDriver:
+    """A driver that returns a fresh deep copy of every tree, as one that parses each device dump does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.explorer = None
+        self.most_keyed = 0  # the most trees the explorer's key memo held at a current_tree call
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def current_tree(self):
+        self.most_keyed = max(self.most_keyed, len(self.explorer._keys))
+        return copy.deepcopy(self._inner.current_tree())
+
+
+def _explored_bytes(out) -> dict:
+    """Every deterministic artifact of an explore output directory, by relative name."""
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "report.json"  # its wall time differs between runs
+    }
+
+
+class TestKeyMemo:
+    @pytest.mark.parametrize("cap", [engine.KEYED_TREES_CAP, 3], ids=["cap", "cap-3"])
+    @pytest.mark.parametrize("name", ["app01.json", "guarded.json"])
+    @pytest.mark.parametrize("scene_ids", [True, False], ids=["scene-id", "raw-state"])
+    def test_copied_trees_give_the_same_artifacts(self, name, scene_ids, cap, monkeypatch, tmp_path):
+        config = ExplorationConfig(enable_scene_id=scene_ids)
+        model = load_benchmark(name)
+        plain = explore(model, simulate(model), config, out_dir=tmp_path / "plain")
+        write_outputs(plain, tmp_path / "plain", model.package)
+        monkeypatch.setattr(engine, "KEYED_TREES_CAP", cap)
+        driver = _CopyingDriver(simulate(model))
+        explorer = driver.explorer = engine.Explorer(model, driver, config, out_dir=tmp_path / "copied")
+        write_outputs(explorer.explore(), tmp_path / "copied", model.package)
+        assert _explored_bytes(tmp_path / "copied") == _explored_bytes(tmp_path / "plain")
+        assert 0 < driver.most_keyed <= cap and len(explorer._keys) <= cap
+
+
+def test_partial_runs_are_byte_identical(tmp_path):
+    outs = []
+    for tag in ("one", "two"):
+        model = load_benchmark("palette.json")
+        out = tmp_path / tag
+        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False, max_actions=700), out_dir=out)
+        write_outputs(result, out, model.package)
+        assert result.report["partial"]
+        outs.append(out)
+    first, second = (_explored_bytes(out) for out in outs)
+    for name in ("scenetg.json", "paths.json", "trace.log"):
+        assert first[name] == second[name], name
+    layouts = sorted(name for name in first if name.startswith("layouts/"))
+    assert layouts and layouts == sorted(name for name in second if name.startswith("layouts/"))
+    assert all(first[name] == second[name] for name in layouts)
 
 
 def _spy(monkeypatch, module, name):

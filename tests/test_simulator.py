@@ -1,10 +1,13 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from conftest import load_benchmark
+from scenetg import benchmark_path, simulator
 from scenetg.errors import DanglingReference, SchemaError, SelectorNotFound
-from scenetg.icc import IccMessage
+from scenetg.icc import IccMessage, build_icc
 from scenetg.layout import Selector, match_component, parse_hierarchy_dump, serialize_tree
 from scenetg.simulator import LaunchReason, load_app_model, parse_app_model, simulate
 
@@ -379,22 +382,78 @@ class TestSession:
         assert len(renders) == 1
 
     def test_each_page_change_renders_anew(self, driver, monkeypatch):
+        # A new page state renders once; a revisited one gives back the tree first returned for it.
         renders = _count_renders(monkeypatch, driver)
-        changes = [
-            lambda: driver.set_text(sel("ed_name"), "alice"),
-            lambda: driver.toggle(sel("sw_dark")),
-            lambda: driver.tap(sel("sw_dark")),  # a checkable widget without a transition
-            lambda: driver.tap(sel("btn_about")),  # fires a transition
-            lambda: driver.press_back(),
-            lambda: driver.launch_activity(IccMessage("MainActivity")),
+        changes = [  # (action, the earlier page it returns to, by position in `pages`, or None)
+            (lambda: driver.set_text(sel("ed_name"), "alice"), None),
+            (lambda: driver.toggle(sel("sw_dark")), None),
+            (lambda: driver.tap(sel("sw_dark")), 1),  # a checkable widget without a transition
+            (lambda: driver.tap(sel("btn_about")), None),  # fires a transition
+            (lambda: driver.press_back(), 1),
+            (lambda: driver.launch_activity(IccMessage("MainActivity")), 0),  # a fresh instance
         ]
-        tree = driver.current_tree()
-        for change in changes:
+        pages = [driver.current_tree()]
+        for change, revisits in changes:
             change()
             again = driver.current_tree()
-            assert again is not tree and driver.current_tree() is again
-            tree = again
-        assert len(renders) == 1 + len(changes)
+            assert again is not pages[-1] and driver.current_tree() is again
+            if revisits is None:
+                assert all(again is not page for page in pages)
+            else:
+                assert again is pages[revisits]
+            pages.append(again)
+        assert len(renders) == 4  # the first page, set_text, toggle and btn_about
+
+    def test_page_cache_drops_the_oldest_page_past_its_bound(self, driver, monkeypatch):
+        monkeypatch.setattr(simulator, "PAGE_CACHE_SIZE", 2)
+        renders = _count_renders(monkeypatch, driver)
+        first = driver.current_tree()
+        driver.set_text(sel("ed_name"), "alice")
+        named = driver.current_tree()
+        driver.toggle(sel("sw_dark"))  # a third page: `first` is dropped
+        driver.current_tree()
+        assert len(driver._pages) == 2 and len(renders) == 3
+        driver.toggle(sel("sw_dark"))  # back to `named`, still cached
+        assert driver.current_tree() is named and len(renders) == 3
+        assert driver.launch_activity(IccMessage("MainActivity")).success
+        again = driver.current_tree()  # the defaults again: rendered anew
+        assert again is not first and serialize_tree(again) == serialize_tree(first)
+        assert len(driver._pages) == 2 and len(renders) == 4
+
+    @pytest.mark.parametrize("cache_size", [simulator.PAGE_CACHE_SIZE, 2], ids=["bound", "bound-2"])
+    def test_cached_page_equals_a_fresh_render(self, cache_size, monkeypatch):
+        # Seeded random walks over every bundled model: after each action the page
+        # served (cached or not) must serialise like a fresh render of the top frame.
+        monkeypatch.setattr(simulator, "PAGE_CACHE_SIZE", cache_size)
+        rng = random.Random(20261018)
+        for path in sorted(Path(str(benchmark_path("app01.json"))).parent.glob("*.json")):
+            model = load_app_model(path)
+            driver = simulate(model)
+            for _ in range(200):
+                if not driver.running or rng.random() < 0.05:
+                    driver.launch_activity(build_icc(rng.choice(model.activities), 0))
+                elif rng.random() < 0.1:
+                    driver.press_back()
+                else:
+                    node = rng.choice(list(driver.current_tree().root.iter_subtree())[1:] or [None])
+                    if node is None:
+                        continue
+                    if node.resource_id:
+                        selector = Selector(resource_id=node.resource_id)
+                    else:
+                        selector = Selector(widget_class=node.widget_class, bounds=node.bounds)
+                    action = rng.choice(["tap", "tap", "toggle", "set_text"])
+                    if action == "set_text":
+                        driver.set_text(selector, rng.choice(["", "x", "42"]))
+                    else:
+                        getattr(driver, action)(selector)
+                if driver.running:
+                    tree = driver.current_tree()
+                    fresh, _ = driver._render(driver._top())
+                    assert fresh is not tree, path.name
+                    assert tree.source_activity == fresh.source_activity, path.name
+                    assert serialize_tree(tree) == serialize_tree(fresh), path.name
+                assert len(driver._pages) <= cache_size
 
     def test_class_and_bounds_selector_honours_bounds(self):
         button = "android.widget.Button"
