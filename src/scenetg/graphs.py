@@ -209,6 +209,8 @@ def read_json(path: Path) -> dict:
         value = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise CorruptRun(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise CorruptRun(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(value, dict):
         raise CorruptRun(f"{path}: top level must be a JSON object")
     return value

@@ -7,6 +7,7 @@ and bounds use the ``[l,t][r,b]`` form.
 
 from __future__ import annotations
 
+import functools
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -100,7 +101,17 @@ class Selector:
         return self.bounds.render()
 
 
+# Distinct bounds texts kept parsed. Bounds is frozen, so every node whose
+# bounds text is the same can share one instance; a text that fails raises
+# each time it is seen (lru_cache keeps results, never exceptions).
+BOUNDS_CACHE_SIZE = 4096
+_bounds = functools.lru_cache(maxsize=BOUNDS_CACHE_SIZE)(Bounds.parse)
+_NO_BOUNDS = Bounds()
+
+
 def _node_from_element(elem: ET.Element, position: int) -> ComponentNode:
+    # The node's own attributes are checked before its children are built, so
+    # the first bad node in document order is the one reported.
     get = elem.attrib.get
     widget_class, package = get("class"), get("package")
     if widget_class is None:
@@ -112,22 +123,21 @@ def _node_from_element(elem: ET.Element, position: int) -> ComponentNode:
         index = position if index is None else int(index)
     except ValueError:
         raise ParseError(f"malformed index attribute: {index!r}") from None
-    node = ComponentNode(
-        widget_class=widget_class,
-        package=package,
-        resource_id=get("resource-id", ""),
-        text=get("text", ""),
-        bounds=Bounds() if bounds is None else Bounds.parse(bounds),
-        clickable=get("clickable") == "true",
-        checkable=get("checkable") == "true",
-        checked=get("checked") == "true",
-        enabled=get("enabled") == "true",
-        scrollable=get("scrollable") == "true",
-        long_clickable=get("long-clickable") == "true",
-        index=index,
+    return ComponentNode(  # positional, in field order
+        widget_class,
+        package,
+        get("resource-id", ""),
+        get("text", ""),
+        _NO_BOUNDS if bounds is None else _bounds(bounds),
+        get("clickable") == "true",
+        get("checkable") == "true",
+        get("checked") == "true",
+        get("enabled") == "true",
+        get("scrollable") == "true",
+        get("long-clickable") == "true",
+        index,
+        [_node_from_element(c, i) for i, c in enumerate(elem) if c.tag == "node"],
     )
-    node.children = [_node_from_element(c, i) for i, c in enumerate(elem) if c.tag == "node"]
-    return node
 
 
 def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
@@ -144,11 +154,25 @@ def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
         root_elem = node_elems[0]
     elif root_elem.tag != "node":
         raise ParseError(f"unexpected root element {root_elem.tag!r}")
-    return ComponentTree(root=_node_from_element(root_elem, 0), source_activity=source_activity)
+    try:
+        root = _node_from_element(root_elem, 0)
+    except RecursionError:
+        raise ParseError("hierarchy nested too deeply to parse") from None
+    return ComponentTree(root=root, source_activity=source_activity)
 
 
 def _flag(on: bool) -> str:
     return "true" if on else "false"
+
+
+# The characters that make quoteattr rewrite a value or change its quotes; a
+# value without any is written as it is, in double quotes, which is what
+# quoteattr would give.
+_NEEDS_QUOTEATTR = re.compile('[&<>"\n\r\t]').search
+
+
+def _quote(value: str) -> str:
+    return quoteattr(value) if _NEEDS_QUOTEATTR(value) else f'"{value}"'
 
 
 def _render_node(node: ComponentNode, out: list, depth: int) -> None:
@@ -156,8 +180,8 @@ def _render_node(node: ComponentNode, out: list, depth: int) -> None:
     # index, flags and bounds are digits, true/false and "[l,t][r,b]".
     pad = "  " * depth
     line = (
-        f'index="{node.index}" class={quoteattr(node.widget_class)} package={quoteattr(node.package)} '
-        f"resource-id={quoteattr(node.resource_id)} text={quoteattr(node.text)} "
+        f'index="{node.index}" class={_quote(node.widget_class)} package={_quote(node.package)} '
+        f"resource-id={_quote(node.resource_id)} text={_quote(node.text)} "
         f'clickable="{_flag(node.clickable)}" checkable="{_flag(node.checkable)}" checked="{_flag(node.checked)}" '
         f'enabled="{_flag(node.enabled)}" scrollable="{_flag(node.scrollable)}" '
         f'long-clickable="{_flag(node.long_clickable)}" bounds="{node.bounds.render()}"'

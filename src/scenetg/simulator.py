@@ -349,6 +349,8 @@ def load_app_model(path) -> AppModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"model: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("model: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("model: top level must be an object")
     return parse_app_model(doc)

@@ -6,6 +6,9 @@ import pytest
 
 from scenetg import benchmark_path
 from scenetg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TIMEOUT, EXIT_USAGE, main
+from scenetg.diff import RunSnapshot, diff_graphs
+from scenetg.errors import CorruptRun, ParseError, SchemaError
+from scenetg.simulator import load_app_model
 
 
 def bench(name):
@@ -166,6 +169,30 @@ class TestOtherVerbs:
         assert code == EXIT_RUNTIME
         assert str(layout) in capsys.readouterr().err
 
+    def test_diff_deeply_nested_layout_is_parse_error_naming_file(self, explored, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(explored, bad)
+        layout = sorted((bad / "layouts").glob("*.xml"))[0]
+        depth = 1200
+        layout.write_text("<hierarchy>" + '<node class="c" package="p">' * depth + "</node>" * depth + "</hierarchy>")
+        capsys.readouterr()
+        code = main(["diff", "--old", str(explored), "--new", str(bad), "--out", str(tmp_path / "d.json")])
+        assert code == EXIT_RUNTIME
+        assert str(layout) in capsys.readouterr().err
+        with pytest.raises(ParseError, match="nested too deeply"):
+            diff_graphs(RunSnapshot.load(explored), RunSnapshot.load(bad))
+
+    def test_diff_deeply_nested_paths_json_is_corrupt_run(self, explored, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(explored, bad)
+        (bad / "paths.json").write_text("[" * 100_000 + "]" * 100_000)
+        capsys.readouterr()
+        code = main(["diff", "--old", str(explored), "--new", str(bad), "--out", str(tmp_path / "d.json")])
+        assert code == EXIT_RUNTIME
+        assert "paths.json" in capsys.readouterr().err
+        with pytest.raises(CorruptRun, match="nested too deeply"):
+            RunSnapshot.load(bad)
+
     def test_diff_rejects_non_run_directory(self, tmp_path):
         code = main(["diff", "--old", str(tmp_path), "--new", str(tmp_path), "--out", str(tmp_path / "d.json")])
         assert code == EXIT_USAGE
@@ -176,6 +203,14 @@ class TestOtherVerbs:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["validate-model", "--app", str(bad)]) == EXIT_USAGE
+
+    def test_validate_deeply_nested_model_is_schema_error(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"package": "p", "activities": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["validate-model", "--app", str(bad)]) == EXIT_USAGE
+        assert "nested too deeply" in capsys.readouterr().err
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            load_app_model(bad)
 
     def test_validate_model_names_unknown_field(self, tmp_path, capsys):
         doc = json.loads(benchmark_path("app01.json").read_text())

@@ -1,13 +1,22 @@
+import copy
+import random
+import re
 import warnings
+import xml.etree.ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
 import pytest
 
 from conftest import PKG, make_node, make_tree
-from scenetg.errors import MissingAttribute, ParseError
+from scenetg import benchmark_path
+from scenetg.errors import MissingAttribute, ParseError, SceneTGError
 from scenetg.layout import (
+    BOUNDS_CACHE_SIZE,
     Bounds,
+    ComponentNode,
+    ComponentTree,
     Selector,
+    _bounds,
     bfs_nodes,
     find_clickable,
     match_component,
@@ -119,6 +128,23 @@ class TestParse:
         assert (back.resource_id, back.text, back.bounds, back.clickable) == (f"x:id/{value}", value, node.bounds, True)
 
 
+    def test_quoting_only_when_needed_matches_quoteattr_everywhere(self):
+        # Random strings over every character quoteattr rewrites, the single
+        # quote it chooses around, and text outside ASCII.
+        rng = random.Random(20231)
+        alphabet = "&<>\"'\n\r\tab :/._é漢😀"
+
+        def word():
+            return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+        def node(children=()):
+            return make_node(rid=word(), cls=word(), package=word(), text=word(), children=children)
+
+        for _ in range(300):
+            tree = make_tree(node(children=[node() for _ in range(rng.randrange(3))]))
+            assert serialize_tree(tree) == _quoteattr_everywhere(tree)
+
+
 def _quoteattr_everywhere(tree):
     """Reference dump text: every attribute value passed through `quoteattr`."""
     out = ['<?xml version="1.0" encoding="UTF-8"?>', "<hierarchy>"]
@@ -152,6 +178,187 @@ def _quoteattr_everywhere(tree):
     render(tree.root, 1)
     out.append("</hierarchy>")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The parse before the bounds memo, kept as the reference the current one must
+# agree with: the same tree field for field, or the same error.
+
+
+def _reference_node(elem: ET.Element, position: int) -> ComponentNode:
+    get = elem.attrib.get
+    widget_class, package = get("class"), get("package")
+    if widget_class is None:
+        raise MissingAttribute("node is missing the 'class' attribute")
+    if package is None:
+        raise MissingAttribute("node is missing the 'package' attribute")
+    bounds, index = get("bounds"), get("index")
+    try:
+        index = position if index is None else int(index)
+    except ValueError:
+        raise ParseError(f"malformed index attribute: {index!r}") from None
+    node = ComponentNode(
+        widget_class=widget_class,
+        package=package,
+        resource_id=get("resource-id", ""),
+        text=get("text", ""),
+        bounds=Bounds() if bounds is None else Bounds.parse(bounds),
+        clickable=get("clickable") == "true",
+        checkable=get("checkable") == "true",
+        checked=get("checked") == "true",
+        enabled=get("enabled") == "true",
+        scrollable=get("scrollable") == "true",
+        long_clickable=get("long-clickable") == "true",
+        index=index,
+    )
+    node.children = [_reference_node(c, i) for i, c in enumerate(elem) if c.tag == "node"]
+    return node
+
+
+def _reference_parse(text: str, source_activity: str) -> ComponentTree:
+    try:
+        root_elem = ET.fromstring(text)
+    except ET.ParseError as exc:
+        line, column = exc.position if exc.position else (None, None)
+        raise ParseError(f"malformed hierarchy dump: {exc}", line=line, column=column) from exc
+    if root_elem.tag == "hierarchy":
+        node_elems = [c for c in root_elem if c.tag == "node"]
+        if len(node_elems) != 1:
+            raise ParseError(f"hierarchy must contain exactly one root node, found {len(node_elems)}")
+        root_elem = node_elems[0]
+    elif root_elem.tag != "node":
+        raise ParseError(f"unexpected root element {root_elem.tag!r}")
+    return ComponentTree(root=_reference_node(root_elem, 0), source_activity=source_activity)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, "A")
+    except SceneTGError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+BAD_BOUNDS = ["[0,0][1,1", "0,0,1,1", "", "[a,0][1,1]", "[1.5,0][2,2]", "[10,0][0,5]", "[0,10][5,0]"]
+
+
+def _mutate(kind, rng, hierarchy):
+    """Apply one edit of `kind` to a random place of the parsed layout; returns the (new) document root."""
+    nodes = list(hierarchy.iter("node"))
+    if not nodes:  # an earlier edit removed every node
+        return hierarchy
+    parents = {child: parent for parent in hierarchy.iter() for child in parent}
+    node = rng.choice(nodes)
+    if kind in ("class", "package"):
+        node.attrib.pop(kind, None)
+    elif kind == "bad-index":
+        node.set("index", rng.choice(["x", "", "1.5", " 2 ", "-3"]))
+    elif kind == "no-index":
+        # The position among all children applies, non-node elements counted.
+        node.attrib.pop("index", None)
+        if node in parents:
+            parent = parents[node]
+            parent.insert(rng.randrange(list(parent).index(node) + 1), ET.Element(rng.choice(["decor", "view"])))
+    elif kind == "bad-bounds":
+        node.set("bounds", rng.choice(BAD_BOUNDS))
+    elif kind == "padded-bounds":
+        text = rng.choice([node.get("bounds", "[0,0][0,0]")] * 3 + BAD_BOUNDS)
+        node.set("bounds", rng.choice([" ", "\t", "\n "]) + text + rng.choice(["", " ", "\n"]))
+    elif kind == "no-bounds":
+        node.attrib.pop("bounds", None)
+    elif kind == "wrap":
+        # A non-node element hides the nodes inside it.
+        if node in parents:
+            parent = parents[node]
+            wrapper = ET.Element("group")
+            parent.insert(list(parent).index(node), wrapper)
+            parent.remove(node)
+            wrapper.append(node)
+    elif kind == "two-roots":
+        hierarchy.append(copy.deepcopy(nodes[0]))
+    elif kind == "no-root":
+        for child in [c for c in hierarchy if c.tag == "node"]:
+            hierarchy.remove(child)
+    elif kind == "foreign-root":
+        hierarchy.tag = rng.choice(["window", "Hierarchy"])
+    elif kind == "bare-node-root":
+        return copy.deepcopy(nodes[0])
+    return hierarchy
+
+
+MUTATIONS = (
+    "class", "package", "bad-index", "no-index", "bad-bounds", "padded-bounds",
+    "no-bounds", "wrap", "two-roots", "no-root", "foreign-root", "bare-node-root",
+)
+BUNDLED = sorted(p.name for p in benchmark_path("app01.json").parent.glob("*.json"))
+
+
+def _bundled_layouts(runs):
+    for name in BUNDLED:
+        _, out, _ = runs.run(name)
+        for path in sorted((out / "layouts").glob("*.xml")):
+            yield path.read_text(encoding="utf-8")
+
+
+class TestParseAgainstReference:
+    def test_mutated_bundled_layouts_parse_as_the_reference_does(self, runs):
+        rng = random.Random(9)
+        seen = set()
+        for text in _bundled_layouts(runs):
+            cases = [text, text[: rng.randrange(len(text))]]  # as recorded, and cut short
+            for kind in MUTATIONS:
+                doc = ET.fromstring(text)
+                for extra in [kind] + rng.sample(MUTATIONS, rng.randrange(3)):
+                    doc = _mutate(extra, rng, doc)
+                cases.append(ET.tostring(doc, encoding="unicode"))
+            for case in cases:
+                got = _outcome(parse_hierarchy_dump, case)
+                assert got == _outcome(_reference_parse, case), case
+                seen.add(type(got) if isinstance(got, ComponentTree) else (got[0], got[1].split(":")[0]))
+        # Every kind of outcome was reached, so the comparison is not vacuous.
+        assert {ComponentTree, (MissingAttribute, "node is missing the 'class' attribute"),
+                (MissingAttribute, "node is missing the 'package' attribute"),
+                (ParseError, "malformed index attribute"), (ParseError, "malformed bounds attribute"),
+                (ParseError, "degenerate bounds attribute"), (ParseError, "malformed hierarchy dump"),
+                (ParseError, "hierarchy must contain exactly one root node, found 0"),
+                (ParseError, "hierarchy must contain exactly one root node, found 2"),
+                (ParseError, "unexpected root element 'window'")} <= seen
+
+
+class TestBoundsCache:
+    def test_each_distinct_bounds_text_is_parsed_once(self, runs):
+        texts = list(_bundled_layouts(runs))
+        _bounds.cache_clear()
+        for text in texts:
+            parse_hierarchy_dump(text, "A")
+        distinct = {b for text in texts for b in re.findall(r'bounds="([^"]*)"', text)}
+        assert len(distinct) < BOUNDS_CACHE_SIZE
+        assert _bounds.cache_info().misses == len(distinct)
+
+    def test_nodes_with_equal_bounds_text_share_one_bounds(self):
+        first, second = parse_hierarchy_dump(DUMP, "A"), parse_hierarchy_dump(DUMP, "A")
+        shared = {}
+        for tree in (first, second):
+            for node in tree.root.iter_subtree():
+                shared.setdefault(node.bounds.render(), set()).add(id(node.bounds))
+        assert all(len(ids) == 1 for ids in shared.values())
+        assert first.root.children[0].bounds is second.root.children[0].bounds
+
+    def test_cache_stays_at_its_bound(self):
+        count = BOUNDS_CACHE_SIZE + 10
+        kids = "".join(f'<node class="c" package="p" bounds="[0,0][{i},1]" />' for i in range(count))
+        _bounds.cache_clear()
+        parse_hierarchy_dump(f'<node class="c" package="p">{kids}</node>', "A")
+        info = _bounds.cache_info()
+        assert info.misses == count
+        assert info.currsize == info.maxsize == BOUNDS_CACHE_SIZE
+
+    def test_bad_bounds_raise_every_time_and_are_not_kept(self):
+        _bounds.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ParseError, match="degenerate bounds"):
+                parse_hierarchy_dump('<node class="c" package="p" bounds="[10,0][0,5]" />', "A")
+        assert _bounds.cache_info().misses == 2
+        assert _bounds.cache_info().currsize == 0
 
 
 class TestQueries:
