@@ -3,6 +3,7 @@ import random
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -289,7 +290,7 @@ MUTATIONS = (
     "class", "package", "bad-index", "no-index", "bad-bounds", "padded-bounds",
     "no-bounds", "wrap", "two-roots", "no-root", "foreign-root", "bare-node-root",
 )
-BUNDLED = sorted(p.name for p in benchmark_path("app01.json").parent.glob("*.json"))
+BUNDLED = sorted(p.name for p in Path(str(benchmark_path("app01.json"))).parent.glob("*.json"))
 
 
 def _bundled_layouts(runs):
