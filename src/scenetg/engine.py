@@ -7,6 +7,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str  # the C escaper of json.dumps(ensure_ascii=True)
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -150,7 +151,9 @@ class _BudgetedDriver:
     """The driver as the explorer sees it: the one place that counts the calls that act.
 
     The call that would exceed `max_actions` raises ExplorationTimeout("actions")
-    before it reaches the driver. Every other attribute is the driver's own.
+    before it reaches the driver. Every other attribute is the driver's own; the
+    ones the explorer reads in its loops are bound or forwarded here, so reading
+    them skips the `__getattr__` fallback.
     """
 
     def __init__(self, driver, max_actions: Optional[int]):
@@ -158,6 +161,11 @@ class _BudgetedDriver:
         self._max_actions = max_actions
         self.actions = 0
         self.current_tree = driver.current_tree
+        self.screenshot_ref = driver.screenshot_ref
+
+    @property
+    def running(self) -> bool:
+        return self._driver.running
 
     def __getattr__(self, name):
         return getattr(self._driver, name)
@@ -273,10 +281,8 @@ class Explorer:
             return sid
         layout_ref = f"layouts/{sid}.xml"
         if self.out_dir:
-            layout_path = self.out_dir / layout_ref
-            layout_path.parent.mkdir(parents=True, exist_ok=True)
-            # Under scene ids the key serialised nothing.
-            layout_path.write_text(xml if xml is not None else serialize_tree(tree), encoding="utf-8")
+            # Under scene ids the key serialised nothing. `explore` made the directory.
+            (self.out_dir / layout_ref).write_text(xml if xml is not None else serialize_tree(tree), encoding="utf-8")
         shot = self.driver.screenshot_ref()
         self.scenetg.add_node(sid, tree.source_activity, layout_ref, shot)
         self.paths[sid] = [[event.value, selector.describe()] for event, selector, _ in path]
@@ -339,15 +345,14 @@ class Explorer:
             return act is not None and name not in self.failed_direct
 
         # A failed chain head lands in failed_direct, which lengthens the
-        # candidate chains on the next pass, so recompute until exhausted.
+        # candidate chains on the next pass, so ask again after each failure;
+        # each pass enumerates chains only up to the first untried one.
         tried: set[tuple[str, ...]] = set()
         while True:
-            chains = [
-                c for c in self.atg.caller_chains(target, launchable) if tuple(c) not in tried
-            ]
-            if not chains:
+            chains = self.atg.caller_chains(target, launchable)
+            chain = next((c for c in chains if tuple(c) not in tried), None)  # [head, ..., target]
+            if chain is None:
                 return None
-            chain = chains[0]  # [head, ..., target]
             tried.add(tuple(chain))
             self._check_timeout()
             if self._launch_via_chain(chain):
@@ -446,6 +451,8 @@ class Explorer:
 
     def explore(self) -> ExplorationResult:
         config = self.config
+        if self.out_dir:
+            (self.out_dir / "layouts").mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
         self._deadline = start + config.dynamic_timeout
         remaining = list(self.model.activities)
@@ -510,25 +517,32 @@ def explore(model, driver, config: ExplorationConfig, out_dir=None) -> Explorati
     return Explorer(model, driver, config, out_dir=out_dir).explore()
 
 
+def _trace_line(record: dict) -> str:
+    """One trace.log line: `json.dumps(record) + "\\n"` for a `_record` dict, keys in its order."""
+    return (
+        f'{{"step": {record["step"]}, "activity": {_json_str(record["activity"])}, '
+        f'"scene_id": {_json_str(record["scene_id"])}, "action": {_json_str(record["action"])}, '
+        f'"selector": {_json_str(record["selector"])}, "outcome": {_json_str(record["outcome"])}}}\n'
+    )
+
+
 def write_outputs(result: ExplorationResult, out_dir, package: str) -> None:
     """Write the full explore artifact set (layout files are written during the run).
 
     scenetg.dot and atg.json are rendered from the scenetg.json document, the
-    same input `scenetg export` reads back.
+    same input `scenetg export` reads back. trace.log has one JSON object per
+    record, its strings escaped to ASCII by the C escaper `json.dumps` uses.
     """
-    from .graphs import export_dot, export_json  # resolved per call: perfbench/tracing.py wraps them
+    from .graphs import export_dot, scenetg_document  # resolved per call: perfbench/tracing.py wraps export_dot
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    text = export_json(result.scenetg, result.atg, package)
-    doc = json.loads(text)
-    (out / "scenetg.json").write_text(text, encoding="utf-8")
+    (out / "layouts").mkdir(parents=True, exist_ok=True)
+    doc = scenetg_document(result.scenetg, result.atg, package)
+    (out / "scenetg.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     (out / "scenetg.dot").write_text(export_dot(doc), encoding="utf-8")
     atg_doc = {"package": package, "atg_edges": doc["atg_edges"]}
     (out / "atg.json").write_text(json.dumps(atg_doc, indent=2) + "\n", encoding="utf-8")
     (out / "report.json").write_text(json.dumps(result.report, indent=2) + "\n", encoding="utf-8")
     (out / "paths.json").write_text(json.dumps(result.paths, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with (out / "trace.log").open("w", encoding="utf-8") as fh:
-        for record in result.trace:
-            fh.write(json.dumps(record) + "\n")
-    (out / "layouts").mkdir(exist_ok=True)
+        fh.writelines(map(_trace_line, result.trace))

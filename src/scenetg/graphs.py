@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import CorruptRun, MissingEdge
 from .layout import Selector
@@ -88,28 +88,59 @@ class ActivityGraph:
                 return edge.event, edge.component
         raise MissingEdge(f"no edge {caller} -> {callee}")
 
-    def caller_chains(self, target: str, launchable: Callable[[str], bool]) -> list[list[str]]:
-        """Reverse-BFS chains [head, ..., target] whose head satisfies `launchable`.
+    def caller_chains(self, target: str, launchable: Callable[[str], bool]) -> Iterator[list[str]]:
+        """Chains [head, ..., target] whose head satisfies `launchable`, generated lazily.
 
-        Ordered by (length ascending, lexicographic activity names); a chain
-        never revisits an activity, and extension stops at a launchable head.
+        Yielded by (length ascending, lexicographic activity names); a chain
+        never revisits an activity, and extension stops at a launchable head,
+        so no activity between head and target is launchable. A length is
+        enumerated only once the caller asks past every shorter chain, so the
+        first chain costs polynomial time even where the chains are exponentially many.
         """
-        chains = []
-        frontier = [(target,)]
+        callers: dict[str, set[str]] = {}
+        for edge in self._edges:
+            callers.setdefault(edge.callee, set()).add(edge.caller)
+        # Reverse BFS through activities that are not launchable: dist[a] is the
+        # fewest edges from a to target, a lower bound on any chain's rest from a.
+        dist = {target: 0}
+        heads: set[str] = set()
+        frontier = [target]
         while frontier:
-            extensions = []
-            for path in frontier:
-                for caller in sorted(self.callers_of(path[0])):
-                    if caller in path:
+            reached = []
+            for callee in frontier:
+                for caller in callers.get(callee, ()):
+                    if caller in dist or caller in heads:
                         continue
-                    new_path = (caller,) + path
                     if launchable(caller):
-                        chains.append(list(new_path))
+                        heads.add(caller)
                     else:
-                        extensions.append(new_path)
-            frontier = extensions
-        chains.sort(key=lambda c: (len(c), c))
-        return chains
+                        dist[caller] = dist[callee] + 1
+                        reached.append(caller)
+            frontier = reached
+        # The edges that can lie on a chain, by caller, callees in name order.
+        succ: dict[str, list[str]] = {}
+        for callee in sorted(dist):
+            for caller in callers.get(callee, ()):
+                if caller != target:
+                    succ.setdefault(caller, []).append(callee)
+        heads_in_order = sorted(heads)
+        for length in range(1, len(dist) + 1):  # edges per chain
+            for head in heads_in_order:
+                path, on_path, pending = [head], {head}, [iter(succ[head])]
+                while pending:
+                    left = length - len(path)  # edges still to go after the next one
+                    for callee in pending[-1]:
+                        if callee == target:
+                            if left == 0:
+                                yield path + [target]
+                        elif callee not in on_path and dist[callee] <= left:
+                            path.append(callee)
+                            on_path.add(callee)
+                            pending.append(iter(succ.get(callee, ())))
+                            break
+                    else:
+                        pending.pop()
+                        on_path.discard(path.pop())
 
 
 class SceneGraph:
@@ -147,9 +178,9 @@ def stats(scenetg: SceneGraph) -> dict:
     }
 
 
-def export_json(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated_at: str = "0") -> str:
-    """Deterministic JSON export (the scenetg.json document); nodes and edges in discovery order."""
-    doc = {
+def scenetg_document(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated_at: str = "0") -> dict:
+    """The scenetg.json document; nodes and edges in discovery order."""
+    return {
         "package": package,
         "generated_at": generated_at,
         "scenes": [
@@ -177,7 +208,11 @@ def export_json(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated
         ],
         "stats": stats(scenetg),
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def export_json(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated_at: str = "0") -> str:
+    """Deterministic JSON export: the scenetg.json text."""
+    return json.dumps(scenetg_document(scenetg, atg, package, generated_at), indent=2) + "\n"
 
 
 def export_dot(doc: dict) -> str:

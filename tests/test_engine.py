@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -16,7 +17,8 @@ from scenetg.engine import (
     non_transitive_kind,
     write_outputs,
 )
-from scenetg.icc import IccMessage
+from scenetg.graphs import ActivityGraph
+from scenetg.icc import IccMessage, build_icc
 from scenetg.layout import Selector, serialize_tree
 from scenetg.simulator import parse_app_model, simulate
 
@@ -118,6 +120,28 @@ _REPLAY_MODEL = {
 }
 
 
+def _ladder_model(activities: int, fan: int):
+    """Activity k has a button to each of activities k+1 ... k+fan; only the first is directly launchable."""
+    acts = []
+    for k in range(activities):
+        callees = range(k + 1, min(activities, k + fan + 1))
+        widgets = [{"id": f"go_{j}", "class": "android.widget.Button", "clickable": True} for j in callees]
+        acts.append(
+            {
+                "name": f"Act{k:02d}",
+                "directly_launchable": k == 0,
+                "scenes": [
+                    {
+                        "name": "entry",
+                        "widgets": widgets or [{"id": "lbl_end", "class": "android.widget.TextView"}],
+                        "transitions": [{"widget": f"go_{j}", "target": f"activity:Act{j:02d}"} for j in callees],
+                    }
+                ],
+            }
+        )
+    return parse_app_model({"package": PKG, "activities": acts})
+
+
 class TestExploration:
     def test_fig5a_indirect_launching(self, runs):
         result, _, _ = runs.run("fig5a.json")
@@ -168,6 +192,25 @@ class TestExploration:
         assert result.report["stats"]["scenes"] >= 20
         assert result.report["stop_reason"] == "actions"
         assert result.trace[-1]["outcome"] == "action budget spent; partial results"
+
+    def test_indirect_launch_scales_to_a_40_activity_ladder(self, monkeypatch):
+        # Act39 alone has over a billion caller chains; the explorer must take
+        # the shortest one that works without listing the others.
+        drawn = []
+        chains_of = ActivityGraph.caller_chains
+
+        def counting(graph, target, launchable):
+            for chain in chains_of(graph, target, launchable):
+                drawn.append(chain)
+                yield chain
+
+        monkeypatch.setattr(ActivityGraph, "caller_chains", counting)
+        model = _ladder_model(40, 3)
+        result = explore(model, simulate(model), ExplorationConfig())
+        outcomes = result.report["outcomes"]
+        assert [entry["outcome"] for entry in outcomes.values()] == ["DIRECT"] + ["INDIRECT"] * 39
+        assert len(drawn) == 39  # one chain examined per indirect launch: the first one works
+        assert outcomes["Act39"]["chain"] == [f"Act{k:02d}" for k in range(0, 40, 3)]
 
     @pytest.mark.parametrize("budget", [1, 25, 300])
     def test_action_budget_caps_driver_actions(self, budget):
@@ -305,6 +348,55 @@ def test_partial_runs_are_byte_identical(tmp_path):
     layouts = sorted(name for name in first if name.startswith("layouts/"))
     assert layouts and layouts == sorted(name for name in second if name.startswith("layouts/"))
     assert all(first[name] == second[name] for name in layouts)
+
+
+def _reference_trace(trace) -> str:
+    """trace.log as one `json.dumps` per record writes it."""
+    return "".join(json.dumps(record) + "\n" for record in trace)
+
+
+class TestTraceLog:
+    # Characters that JSON escapes in different ways: quotes, backslash, the
+    # short escapes, other control characters, non-ASCII, astral (written as a
+    # surrogate pair) and lone surrogates.
+    SPECIAL = ['"', "\\", "/", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\xe9", "\u2028",
+               "\u4e2d", "\U0001f600", "\ud800", "\udfff", "a", " "]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_line_equals_json_dumps(self, seed):
+        rng = random.Random(seed)
+
+        def text():
+            return "".join(
+                rng.choice(self.SPECIAL) if rng.random() < 0.7 else chr(rng.randrange(0x110000))
+                for _ in range(rng.randint(0, 12))
+            )
+
+        for _ in range(400):
+            record = {"step": rng.randrange(10 ** rng.randint(1, 12))}
+            record.update((key, text()) for key in ("activity", "scene_id", "action", "selector", "outcome"))
+            assert engine._trace_line(record) == json.dumps(record) + "\n"
+
+    def test_partial_run_trace_matches_the_reference_writer(self, tmp_path):
+        model = load_benchmark("palette_trap.json")
+        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False, max_actions=500))
+        assert result.report["stop_reason"] == "actions"
+        write_outputs(result, tmp_path, model.package)
+        assert (tmp_path / "trace.log").read_bytes() == _reference_trace(result.trace).encode("utf-8")
+
+
+class TestBudgetedDriver:
+    def test_running_and_screenshot_ref_follow_the_driver(self):
+        model = load_benchmark("stoprule.json")
+        inner = simulate(model)
+        driver = engine._BudgetedDriver(inner, None)
+        assert not driver.running
+        driver.launch_activity(build_icc(model.activities[0], 0))
+        assert driver.running
+        assert driver.screenshot_ref() == "sim://MainActivity/entry/1"
+        assert inner.screenshot_ref() == "sim://MainActivity/entry/2"  # one counter: the driver's own
+        driver.press_back()  # past the root: the app exits
+        assert not driver.running and driver.actions == 2
 
 
 def _spy(monkeypatch, module, name):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -63,7 +64,7 @@ class TestActivityGraph:
         g.add_edge(aedge("CallerB", "Callee", "btn_to_callee_b"))
         g.add_edge(aedge("CallerC", "CallerA", "btn_to_a"))
         g.add_edge(aedge("CallerC", "CallerB", "btn_to_b"))
-        chains = g.caller_chains("Callee", launchable=lambda a: a == "CallerC")
+        chains = list(g.caller_chains("Callee", launchable=lambda a: a == "CallerC"))
         assert chains == [
             ["CallerC", "CallerA", "Callee"],
             ["CallerC", "CallerB", "Callee"],
@@ -73,14 +74,49 @@ class TestActivityGraph:
         g = ActivityGraph()
         g.add_edge(aedge("A", "Callee"))
         g.add_edge(aedge("C", "A"))
-        chains = g.caller_chains("Callee", launchable=lambda a: True)
+        chains = list(g.caller_chains("Callee", launchable=lambda a: True))
         assert chains == [["A", "Callee"]]  # no extension past a launchable head
 
     def test_caller_chains_never_revisit(self):
         g = ActivityGraph()
         g.add_edge(aedge("A", "B"))
         g.add_edge(aedge("B", "A"))
-        assert g.caller_chains("A", launchable=lambda a: False) == []
+        assert list(g.caller_chains("A", launchable=lambda a: False)) == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_caller_chains_match_the_exhaustive_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            names = [f"A{i}" for i in range(rng.randint(1, 8))]
+            density = rng.random()
+            g = ActivityGraph()
+            for caller in names:
+                for callee in names:
+                    if rng.random() < density:
+                        g.add_edge(aedge(caller, callee))
+            heads = {name for name in names if rng.random() < 0.4}
+            target = rng.choice(names + ["Unknown"])
+            want = _exhaustive_caller_chains(g, target, heads.__contains__)
+            assert list(g.caller_chains(target, heads.__contains__)) == want
+
+    def test_caller_chains_yield_the_shortest_first_without_listing_the_rest(self):
+        # A ladder where each rung calls the next three: the chains from A00 to
+        # A39 number in the billions, the shortest is 14 activities long.
+        g = ActivityGraph()
+        for k in range(40):
+            for j in range(k + 1, min(40, k + 4)):
+                g.add_edge(aedge(f"A{k:02d}", f"A{j:02d}"))
+        asked = []
+
+        def launchable(name):
+            asked.append(name)
+            return name == "A00"
+
+        chains = g.caller_chains("A39", launchable)
+        every_third = [f"A{k:02d}" for k in range(3, 40, 3)]
+        assert next(chains) == ["A00"] + every_third  # the one chain of 14
+        assert next(chains) == ["A00", "A01"] + every_third  # the first of 15, by name
+        assert sorted(asked) == [f"A{k:02d}" for k in range(39)]  # each activity judged once
 
     def test_callers_of(self):
         g = ActivityGraph()
@@ -88,6 +124,26 @@ class TestActivityGraph:
         g.add_edge(aedge("B", "C"))
         assert g.callers_of("C") == {"A", "B"}
         assert g.callers_of("A") == set()
+
+
+def _exhaustive_caller_chains(g, target, launchable):
+    """The reference: every simple caller chain by reverse BFS, then sorted by (length, names)."""
+    chains = []
+    frontier = [(target,)]
+    while frontier:
+        extensions = []
+        for path in frontier:
+            for caller in sorted(g.callers_of(path[0])):
+                if caller in path:
+                    continue
+                new_path = (caller,) + path
+                if launchable(caller):
+                    chains.append(list(new_path))
+                else:
+                    extensions.append(new_path)
+        frontier = extensions
+    chains.sort(key=lambda c: (len(c), c))
+    return chains
 
 
 class TestSceneGraph:

@@ -3,6 +3,8 @@ import hashlib
 from conftest import PKG, make_node, make_tree
 from scenetg.identity import (
     EMPTY_SCENE_ID,
+    SIGNATURE_CACHE_SIZE,
+    _signature_hash,
     is_adapter_view,
     node_hash,
     node_signature,
@@ -36,6 +38,20 @@ def test_node_signature_and_hash_pinned():
 def test_scene_id_of_single_node_pinned():
     tree = make_tree(make_node(rid="btn_ok", cls="android.widget.Button", package="com.ex"))
     assert scene_id(tree, "com.ex") == hashlib.md5(MD5_BTN_SIG.encode()).hexdigest()
+
+
+def test_signature_cache_stays_at_its_bound():
+    count = SIGNATURE_CACHE_SIZE + 10
+    kids = [make_node(rid=f"x:id/b{i}", cls="android.widget.Button") for i in range(count)]
+    tree = make_tree(make_node(cls="android.widget.FrameLayout", children=kids))
+    # The md5-of-md5s definition, each node hashed afresh.
+    want = hashlib.md5("".join(node_hash(n) for n in signature_nodes(tree, PKG)).encode()).hexdigest()
+    _signature_hash.cache_clear()
+    assert scene_id(tree, PKG) == want
+    info = _signature_hash.cache_info()
+    assert info.misses == count + 1
+    assert info.currsize == info.maxsize == SIGNATURE_CACHE_SIZE
+    assert scene_id(tree, PKG) == want
 
 
 def test_foreign_root_hashes_to_empty_scene():
