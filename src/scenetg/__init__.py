@@ -4,7 +4,7 @@ from importlib import resources
 
 from .diff import DiffReport, RunSnapshot, diff_graphs, diff_trees, match_scenes
 from .engine import ExplorationConfig, Explorer, apply_assignment, explore, fuzz_assignments, write_outputs
-from .graphs import ActivityEdge, ActivityGraph, EventKind, SceneEdge, SceneGraph, export_dot, export_json, stats
+from .graphs import ActivityEdge, ActivityGraph, EventKind, SceneEdge, SceneGraph, export_dot, stats
 from .icc import ExtraType, IccMessage, build_icc, direct_launch, generate_value
 from .identity import is_adapter_view, node_hash, scene_id
 from .layout import (

@@ -90,8 +90,7 @@ def _cmd_explore(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    driver = simulate(model, seed=seed)
-    result = explore(model, driver, config, out_dir=args.out)
+    result = explore(model, simulate(model), config, out_dir=args.out)
     write_outputs(result, args.out, model.package)
     print(json.dumps(result.report["stats"]))
     return EXIT_TIMEOUT if result.report["partial"] else EXIT_OK

@@ -140,7 +140,14 @@ class RunSnapshot:
     def load(cls, directory) -> "RunSnapshot":
         directory = Path(directory)
         doc = read_run_document(directory)
-        paths = read_json(directory / "paths.json")
+        paths_file = directory / "paths.json"
+        paths = read_json(paths_file)
+        for sid, steps in paths.items():
+            if not isinstance(steps, list):
+                raise CorruptRun(f"{paths_file}: {sid}: expected a list of [event, component] pairs")
+            for i, step in enumerate(steps):
+                if not (isinstance(step, list) and len(step) == 2 and all(isinstance(x, str) for x in step)):
+                    raise CorruptRun(f"{paths_file}: {sid}[{i}]: expected an [event, component] pair of strings")
         layouts = {}
         for scene in doc["scenes"]:
             layout = directory / scene["layout_ref"]

@@ -224,7 +224,6 @@ class Explorer:
         self.atg = ActivityGraph()
         self.trace: list[dict] = []
         self.paths: dict[str, list] = {}
-        self.step = 0
         self.failed_direct: set[str] = set()
         self.launch_methods: dict[str, tuple] = {}
         self.outcomes: dict[str, dict] = {}
@@ -247,10 +246,9 @@ class Explorer:
             raise ExplorationTimeout("time")
 
     def _record(self, action: str, activity: str = "", scene_id: str = "", selector: str = "", outcome: str = ""):
-        self.step += 1
         self.trace.append(
             {
-                "step": self.step,
+                "step": len(self.trace) + 1,
                 "activity": activity,
                 "scene_id": scene_id,
                 "action": action,
@@ -461,7 +459,7 @@ class Explorer:
         try:
             while remaining:
                 rounds += 1
-                mark = self.atg.mark()
+                atg_size = len(self.atg)
                 next_round = []
                 for act in remaining:
                     self._check_timeout()
@@ -484,7 +482,7 @@ class Explorer:
                         entry["attempts"] = entry.get("attempts", 0) + 1
                         next_round.append(act)
                 # Stop rule: re-launch failures only while the ATG kept growing.
-                if next_round and self.atg.augmented_since(mark):
+                if next_round and len(self.atg) > atg_size:
                     remaining = next_round
                 else:
                     for act in next_round:

@@ -34,10 +34,6 @@ class MissingEdge(SceneTGError):
     """Requested activity edge does not exist in the graph."""
 
 
-class UnknownExtraType(SceneTGError):
-    """Extra parameter type outside the supported set."""
-
-
 class DriverError(SceneTGError):
     """Driver-level failure (no app running, unrecoverable navigation, ...)."""
 

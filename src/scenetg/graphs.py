@@ -53,8 +53,8 @@ class ActivityGraph:
     """Dynamically augmented ATG: one insertion-ordered dict from edge to origin.
 
     Inserts are idempotent; duplicates keep the earliest recorded origin (SEED
-    wins over a later identical DYNAMIC edge). Edges are never removed, so the
-    edge count marks a point in the graph's growth.
+    wins over a later identical DYNAMIC edge). Edges are never removed, so
+    `len` only grows.
     """
 
     def __init__(self):
@@ -66,20 +66,11 @@ class ActivityGraph:
         self._edges[edge] = origin
         return True
 
-    def mark(self) -> int:
-        return len(self._edges)
-
-    def augmented_since(self, mark: int) -> bool:
-        return len(self._edges) > mark
-
     def __len__(self) -> int:
         return len(self._edges)
 
     def edges(self) -> list[tuple[ActivityEdge, EdgeOrigin]]:
         return list(self._edges.items())
-
-    def callers_of(self, activity: str) -> set[str]:
-        return {edge.caller for edge in self._edges if edge.callee == activity}
 
     def edge_action(self, caller: str, callee: str) -> tuple[EventKind, Selector]:
         """Earliest-discovered (event, component) that triggers caller -> callee."""
@@ -150,12 +141,10 @@ class SceneGraph:
         self.nodes: dict[str, SceneNode] = {}
         self._edges: dict[SceneEdge, None] = {}
 
-    def add_node(self, scene_id: str, owning_activity: str, layout_ref: str, screenshot_ref: str) -> bool:
+    def add_node(self, scene_id: str, owning_activity: str, layout_ref: str, screenshot_ref: str) -> None:
         """Record a scene; first discovery wins (ownership and refs are kept)."""
-        if scene_id in self.nodes:
-            return False
-        self.nodes[scene_id] = SceneNode(scene_id, owning_activity, layout_ref, screenshot_ref)
-        return True
+        if scene_id not in self.nodes:
+            self.nodes[scene_id] = SceneNode(scene_id, owning_activity, layout_ref, screenshot_ref)
 
     def add_edge(self, edge: SceneEdge) -> bool:
         if edge in self._edges:
@@ -178,11 +167,11 @@ def stats(scenetg: SceneGraph) -> dict:
     }
 
 
-def scenetg_document(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated_at: str = "0") -> dict:
-    """The scenetg.json document; nodes and edges in discovery order."""
+def scenetg_document(scenetg: SceneGraph, atg: ActivityGraph, package: str) -> dict:
+    """The scenetg.json document; nodes and edges in discovery order, with a fixed timestamp."""
     return {
         "package": package,
-        "generated_at": generated_at,
+        "generated_at": "0",
         "scenes": [
             {
                 "id": n.id,
@@ -208,11 +197,6 @@ def scenetg_document(scenetg: SceneGraph, atg: ActivityGraph, package: str, gene
         ],
         "stats": stats(scenetg),
     }
-
-
-def export_json(scenetg: SceneGraph, atg: ActivityGraph, package: str, generated_at: str = "0") -> str:
-    """Deterministic JSON export: the scenetg.json text."""
-    return json.dumps(scenetg_document(scenetg, atg, package, generated_at), indent=2) + "\n"
 
 
 def export_dot(doc: dict) -> str:

@@ -8,8 +8,6 @@ import string
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnknownExtraType
-
 
 class ExtraType(str, Enum):
     STRING = "STRING"
@@ -75,7 +73,6 @@ def generate_value(extra_type: ExtraType, rng_seed: int, salt: str = "") -> str:
     if extra_type is ExtraType.EMAIL:
         local = "".join(rng.choice(string.ascii_lowercase) for _ in range(8))
         return f"{local}@example.com"
-    raise UnknownExtraType(str(extra_type))
 
 
 def value_for_input_type(input_type: str, rng_seed: int, salt: str = "") -> str:
@@ -86,16 +83,13 @@ def value_for_input_type(input_type: str, rng_seed: int, salt: str = "") -> str:
 def build_icc(activity, rng_seed: int) -> IccMessage:
     """Build a launch message for an activity spec carrying required typed extras.
 
-    `activity` needs `.name` and `.required_extras` (list of (key, type-name) pairs).
+    `activity` needs `.name` and `.required_extras` (list of (key, ExtraType) pairs).
     """
-    extras = []
-    for key, type_name in activity.required_extras:
-        try:
-            extra_type = ExtraType(type_name)
-        except ValueError:
-            raise UnknownExtraType(f"{type_name!r} for extra {key!r}") from None
-        extras.append((key, extra_type, generate_value(extra_type, rng_seed, salt=key)))
-    return IccMessage(target_activity=activity.name, extras=tuple(extras))
+    extras = tuple(
+        (key, extra_type, generate_value(extra_type, rng_seed, salt=key))
+        for key, extra_type in activity.required_extras
+    )
+    return IccMessage(target_activity=activity.name, extras=extras)
 
 
 def direct_launch(driver, icc: IccMessage):

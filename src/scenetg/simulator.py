@@ -85,7 +85,7 @@ class ActivityModel:
     directly_launchable: bool = True
     declared: bool = True
     launch_failure: Optional[LaunchReason] = None
-    required_extras: list[tuple[str, str]] = field(default_factory=list)
+    required_extras: list[tuple[str, ExtraType]] = field(default_factory=list)
 
     @property
     def entry_scene(self) -> SceneModel:
@@ -294,6 +294,8 @@ def parse_app_model(doc: dict) -> AppModel:
     for i, raw in enumerate(raw_acts):
         where = f"model.activities[{i}]"
         name = _typed(raw, where, _ACTIVITY_TYPES, ("name", "scenes"))["name"]
+        if not name:
+            raise SchemaError(f"{where}.name: must not be empty")
         if name in activities:
             raise SchemaError(f"{where}.name: duplicate activity {name!r}")
         if not raw["scenes"]:
@@ -308,7 +310,7 @@ def parse_app_model(doc: dict) -> AppModel:
                 raise SchemaError(f"{where}.required_extras[{k}]: expected [key, type] strings")
             if pair[1] not in ExtraType.__members__:
                 raise SchemaError(f"{where}.required_extras[{k}]: unknown extra type {pair[1]!r}")
-            extras.append((pair[0], pair[1]))
+            extras.append((pair[0], ExtraType[pair[1]]))
         activities[name] = ActivityModel(
             name=name,
             scenes=scenes,
@@ -427,8 +429,7 @@ class SimulatorSession:
         if not activity.directly_launchable:
             return LaunchResult(activity.launch_failure or LaunchReason.NOT_EXPORTED)
         supplied = {key: (extra_type, value) for key, extra_type, value in icc.extras}
-        for key, type_name in activity.required_extras:
-            expected = ExtraType(type_name)
+        for key, expected in activity.required_extras:
             if key not in supplied:
                 return LaunchResult(LaunchReason.MISSING_EXTRA)
             got_type, value = supplied[key]
@@ -580,6 +581,6 @@ class SimulatorSession:
         return widget
 
 
-def simulate(model: AppModel, seed: int = 0) -> SimulatorSession:
-    """Fresh session at the 'no app running' state; the simulator is deterministic, so `seed` is unused."""
+def simulate(model: AppModel) -> SimulatorSession:
+    """Fresh session at the 'no app running' state."""
     return SimulatorSession(model)

@@ -39,7 +39,7 @@ class _RunCache:
             out = self._tmp.mktemp(f"run{self._count}")
             model = load_benchmark(name)
             config = ExplorationConfig(rng_seed=seed, **cfg)
-            result = explore(model, simulate(model, seed=seed), config, out_dir=out)
+            result = explore(model, simulate(model), config, out_dir=out)
             write_outputs(result, out, model.package)
             self._runs[key] = (result, out, model)
         return self._runs[key]

@@ -260,7 +260,7 @@ def test_criterion_7_determinism(tmp_path):
             model = load_benchmark("app07.json")
             out = tmp_path / tag
             result = explore(
-                model, simulate(model, seed=11), ExplorationConfig(rng_seed=11), out_dir=out
+                model, simulate(model), ExplorationConfig(rng_seed=11), out_dir=out
             )
             write_outputs(result, out, model.package)
             outs.append(out)

@@ -193,6 +193,22 @@ class TestOtherVerbs:
         with pytest.raises(CorruptRun, match="nested too deeply"):
             RunSnapshot.load(bad)
 
+    def test_diff_malformed_paths_json_is_corrupt_run(self, explored, tmp_path, capsys):
+        paths = json.loads((explored / "paths.json").read_text())
+        sid = next(sid for sid, steps in paths.items() if steps)
+        # A string value, a one-element step, a non-string component.
+        cases = [("xy", sid), ([["TAP"]], f"{sid}[0]"), ([["TAP", 5]], f"{sid}[0]")]
+        for k, (value, where) in enumerate(cases):
+            bad = tmp_path / f"bad{k}"
+            shutil.copytree(explored, bad)
+            (bad / "paths.json").write_text(json.dumps({**paths, sid: value}))
+            capsys.readouterr()
+            code = main(["diff", "--old", str(explored), "--new", str(bad), "--out", str(tmp_path / "d.json")])
+            assert code == EXIT_RUNTIME
+            assert f"{bad / 'paths.json'}: {where}: expected" in capsys.readouterr().err
+            with pytest.raises(CorruptRun, match=re.escape(f"paths.json: {where}: expected")):
+                RunSnapshot.load(bad)
+
     def test_diff_rejects_non_run_directory(self, tmp_path):
         code = main(["diff", "--old", str(tmp_path), "--new", str(tmp_path), "--out", str(tmp_path / "d.json")])
         assert code == EXIT_USAGE

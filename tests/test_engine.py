@@ -241,7 +241,7 @@ class TestExploration:
         for tag in ("r1", "r2"):
             model = load_benchmark("app04.json")
             out = tmp_path / tag
-            result = explore(model, simulate(model, seed=5), ExplorationConfig(rng_seed=5), out_dir=out)
+            result = explore(model, simulate(model), ExplorationConfig(rng_seed=5), out_dir=out)
             write_outputs(result, out, model.package)
             outs.append(out)
         for fname in ("scenetg.json", "trace.log", "paths.json", "atg.json", "scenetg.dot"):

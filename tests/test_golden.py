@@ -36,7 +36,7 @@ def layouts_digest(layouts: Path) -> str:
 
 def artifact_digests(name, out, **cfg) -> dict:
     model = load_app_model(benchmark_path(name))
-    result = explore(model, simulate(model, seed=0), ExplorationConfig(**cfg), out_dir=out)
+    result = explore(model, simulate(model), ExplorationConfig(**cfg), out_dir=out)
     write_outputs(result, out, model.package)
     digests = {a: hashlib.sha256((out / a).read_bytes()).hexdigest() for a in ARTIFACTS}
     digests["layouts/"] = layouts_digest(out / "layouts")

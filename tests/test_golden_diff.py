@@ -41,7 +41,7 @@ def _explore_doc(doc: dict, out: Path) -> Path:
     model_path = out.with_suffix(".json")
     model_path.write_text(json.dumps(doc), encoding="utf-8")
     model = load_app_model(model_path)
-    result = explore(model, simulate(model, seed=0), ExplorationConfig(), out_dir=out)
+    result = explore(model, simulate(model), ExplorationConfig(), out_dir=out)
     write_outputs(result, out, model.package)
     return out
 

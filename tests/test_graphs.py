@@ -12,7 +12,7 @@ from scenetg.graphs import (
     SceneEdge,
     SceneGraph,
     export_dot,
-    export_json,
+    scenetg_document,
     stats,
 )
 from scenetg.layout import Selector
@@ -27,7 +27,9 @@ class TestActivityGraph:
         g = ActivityGraph()
         assert g.add_edge(aedge("A", "B"))
         assert not g.add_edge(aedge("A", "B"))
-        assert len(g) == 1
+        assert len(g) == 1  # a duplicate does not grow the graph
+        g.add_edge(aedge("A", "C"))
+        assert len(g) == 2
 
     def test_seed_origin_survives_dynamic_duplicate(self):
         g = ActivityGraph()
@@ -35,16 +37,6 @@ class TestActivityGraph:
         g.add_edge(aedge("A", "B"), EdgeOrigin.DYNAMIC)
         [(edge, origin)] = g.edges()
         assert origin is EdgeOrigin.SEED
-
-    def test_mark_and_augmented_since(self):
-        g = ActivityGraph()
-        g.add_edge(aedge("A", "B"))
-        mark = g.mark()
-        assert not g.augmented_since(mark)
-        g.add_edge(aedge("A", "B"))  # duplicate does not augment
-        assert not g.augmented_since(mark)
-        g.add_edge(aedge("A", "C"))
-        assert g.augmented_since(mark)
 
     def test_edge_action_returns_earliest(self):
         g = ActivityGraph()
@@ -118,22 +110,18 @@ class TestActivityGraph:
         assert next(chains) == ["A00", "A01"] + every_third  # the first of 15, by name
         assert sorted(asked) == [f"A{k:02d}" for k in range(39)]  # each activity judged once
 
-    def test_callers_of(self):
-        g = ActivityGraph()
-        g.add_edge(aedge("A", "C"))
-        g.add_edge(aedge("B", "C"))
-        assert g.callers_of("C") == {"A", "B"}
-        assert g.callers_of("A") == set()
-
 
 def _exhaustive_caller_chains(g, target, launchable):
     """The reference: every simple caller chain by reverse BFS, then sorted by (length, names)."""
+    callers = {}
+    for edge, _ in g.edges():
+        callers.setdefault(edge.callee, set()).add(edge.caller)
     chains = []
     frontier = [(target,)]
     while frontier:
         extensions = []
         for path in frontier:
-            for caller in sorted(g.callers_of(path[0])):
+            for caller in sorted(callers.get(path[0], ())):
                 if caller in path:
                     continue
                 new_path = (caller,) + path
@@ -149,9 +137,11 @@ def _exhaustive_caller_chains(g, target, launchable):
 class TestSceneGraph:
     def test_first_discovery_wins(self):
         g = SceneGraph()
-        assert g.add_node("s1", "A", "layouts/s1.xml", "shot1")
-        assert not g.add_node("s1", "B", "layouts/other.xml", "shot2")
+        g.add_node("s1", "A", "layouts/s1.xml", "shot1")
+        g.add_node("s1", "B", "layouts/other.xml", "shot2")
+        assert list(g.nodes) == ["s1"]
         assert g.nodes["s1"].owning_activity == "A"
+        assert g.nodes["s1"].layout_ref == "layouts/s1.xml"
 
     def test_edge_requires_endpoints(self):
         g = SceneGraph()
@@ -189,7 +179,7 @@ class TestExports:
 
     def test_export_json_shape_and_fixed_timestamp(self):
         sg, ag = self._graphs()
-        doc = json.loads(export_json(sg, ag, "p"))
+        doc = scenetg_document(sg, ag, "p")
         assert doc["package"] == "p"
         assert doc["generated_at"] == "0"
         assert [s["id"] for s in doc["scenes"]] == ["a" * 32, "b" * 32]
@@ -201,11 +191,11 @@ class TestExports:
 
     def test_export_json_is_deterministic(self):
         sg, ag = self._graphs()
-        assert export_json(sg, ag, "p") == export_json(sg, ag, "p")
+        assert json.dumps(scenetg_document(sg, ag, "p")) == json.dumps(scenetg_document(sg, ag, "p"))
 
     def test_export_dot(self):
         sg, ag = self._graphs()
-        dot = export_dot(json.loads(export_json(sg, ag, "p")))
+        dot = export_dot(scenetg_document(sg, ag, "p"))
         assert dot.startswith("digraph scenetg {")
         assert f'"{"a" * 32}" -> "{"b" * 32}" [label="TAP/p:id/btn"];' in dot
         assert "aaaaaaaa\\nMainActivity" in dot

@@ -3,7 +3,6 @@ import re
 
 import pytest
 
-from scenetg.errors import UnknownExtraType
 from scenetg.icc import (
     INPUT_TYPE_TO_EXTRA,
     ExtraType,
@@ -13,7 +12,7 @@ from scenetg.icc import (
     generate_value,
     value_for_input_type,
 )
-from scenetg.simulator import LaunchReason, load_app_model, simulate
+from scenetg.simulator import LaunchReason, load_app_model, parse_app_model, simulate
 
 FORMATS = {
     ExtraType.STRING: r"^[a-z]{8}$",
@@ -68,17 +67,12 @@ class _ActSpec:
 
 
 def test_build_icc_fills_required_extras():
-    icc = build_icc(_ActSpec("DetailActivity", [("user_id", "NUMBER"), ("when", "DATE")]), 0)
+    icc = build_icc(_ActSpec("DetailActivity", [("user_id", ExtraType.NUMBER), ("when", ExtraType.DATE)]), 0)
     assert icc.target_activity == "DetailActivity"
     types = {key: extra_type for key, extra_type, _ in icc.extras}
     assert types == {"user_id": ExtraType.NUMBER, "when": ExtraType.DATE}
     for key, extra_type, value in icc.extras:
         assert re.match(FORMATS[extra_type], value)
-
-
-def test_build_icc_unknown_type_raises():
-    with pytest.raises(UnknownExtraType):
-        build_icc(_ActSpec("A", [("k", "BLOB")]), 0)
 
 
 EXTRAS_MODEL = {
@@ -113,3 +107,17 @@ def test_direct_launch_against_simulator(tmp_path):
 
     unknown = direct_launch(driver, IccMessage("GhostActivity"))
     assert not unknown.success and unknown.reason is LaunchReason.UNDECLARED
+
+
+@pytest.mark.parametrize("extra_type", list(ExtraType))
+def test_every_extra_type_launches_on_the_simulator(extra_type):
+    activity = {**EXTRAS_MODEL["activities"][0], "required_extras": [["k", extra_type.value]]}
+    doc = {**EXTRAS_MODEL, "activities": [activity]}
+    model = parse_app_model(doc)
+    act = model.activities[0]
+    [(key, loaded_type)] = act.required_extras
+    assert key == "k" and loaded_type is extra_type  # typed once, at load
+    driver = simulate(model)
+    for seed in range(25):
+        result = direct_launch(driver, build_icc(act, seed))
+        assert result.success, (extra_type, seed, result.reason)
