@@ -3,10 +3,10 @@ exploration, indirect launching, re-queue, and the ATG-growth stop rule."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str  # the C escaper of json.dumps(ensure_ascii=True)
 from pathlib import Path
 from typing import Callable, Optional
@@ -50,23 +50,18 @@ class ExplorationConfig:
             raise ValueError("max_actions must be a positive integer")
 
 
-class NonTransitiveKind(str, Enum):
-    EDIT_TEXT = "EDIT_TEXT"
-    CHECKBOX = "CHECKBOX"
-    SWITCH = "SWITCH"
-
-
-# Class simple-name suffixes covering support-library variants.
+# Class simple-name suffixes covering support-library variants, each with the event that drives it.
 _NON_TRANSITIVE_SUFFIXES = (
-    ("EditText", NonTransitiveKind.EDIT_TEXT),
-    ("CheckBox", NonTransitiveKind.CHECKBOX),
-    ("SwitchCompat", NonTransitiveKind.SWITCH),
-    ("Switch", NonTransitiveKind.SWITCH),
-    ("ToggleButton", NonTransitiveKind.SWITCH),
+    ("EditText", EventKind.SET_TEXT),
+    ("CheckBox", EventKind.TOGGLE),
+    ("SwitchCompat", EventKind.TOGGLE),
+    ("Switch", EventKind.TOGGLE),
+    ("ToggleButton", EventKind.TOGGLE),
 )
 
 
-def non_transitive_kind(widget_class: str) -> Optional[NonTransitiveKind]:
+def non_transitive_kind(widget_class: str) -> Optional[EventKind]:
+    """SET_TEXT for an EditText, TOGGLE for a two-state widget, None for any other class."""
     simple = widget_class.rsplit(".", 1)[-1]
     for suffix, kind in _NON_TRANSITIVE_SUFFIXES:
         if simple.endswith(suffix):
@@ -85,61 +80,59 @@ def fuzz_assignments(
     config: ExplorationConfig,
     target_package: str,
     input_type_lookup: Optional[Callable[[Selector], Optional[str]]] = None,
-) -> list[list[tuple[Selector, NonTransitiveKind, object]]]:
+) -> list[list[tuple[EventKind, Selector, object]]]:
     """All 2^k widget-state combinations over the page's non-transitive components.
 
-    Components are taken in BFS order; beyond the cap they stay pinned at their
-    defaults. Assignment order is binary counting with the first component as
-    the most significant bit, so assignment 0 is all-defaults.
+    Each assignment is a list of (event, selector, wanted state) steps: the text
+    for SET_TEXT, checked or not for TOGGLE. Components are taken in BFS order;
+    beyond the cap they stay pinned at their defaults. Assignment order is binary
+    counting with the first component as the most significant bit, so
+    assignment 0 is all-defaults.
     """
-    targets = []
+    pairs = []  # the (off, on) steps of each fuzzed component
     for node in bfs_nodes(tree, target_package):
-        kind = non_transitive_kind(node.widget_class)
-        if kind is not None:
-            targets.append((node, kind))
-    targets = targets[:FUZZ_COMPONENT_CAP]
-    k = len(targets)
-    assignments = []
-    for bits in range(2 ** k):
-        assignment = []
-        for j, (node, kind) in enumerate(targets):
-            on = bool((bits >> (k - 1 - j)) & 1)
-            selector = _selector_for(node)
-            if kind is NonTransitiveKind.EDIT_TEXT:
-                if on:
-                    itype = input_type_lookup(selector) if input_type_lookup else None
-                    value = value_for_input_type(itype or "text", config.rng_seed, salt=node.resource_id)
-                else:
-                    value = ""
-                assignment.append((selector, kind, value))
-            else:
-                assignment.append((selector, kind, on))
-        assignments.append(assignment)
-    return assignments
+        event = non_transitive_kind(node.widget_class)
+        if event is None:
+            continue
+        selector = _selector_for(node)
+        if event is EventKind.TOGGLE:
+            off, on = False, True
+        else:
+            itype = input_type_lookup(selector) if input_type_lookup else None
+            off, on = "", value_for_input_type(itype or "text", config.rng_seed, salt=node.resource_id)
+        pairs.append(((event, selector, off), (event, selector, on)))
+        if len(pairs) == FUZZ_COMPONENT_CAP:
+            break
+    return [list(steps) for steps in itertools.product(*pairs)]
+
+
+def _issue(driver, event: EventKind, selector: Selector, value) -> None:
+    """Act out one path step; a TOGGLE flips the widget, whatever state the step names."""
+    if event is EventKind.TAP:
+        driver.tap(selector)
+    elif event is EventKind.SET_TEXT:
+        driver.set_text(selector, value)
+    else:
+        driver.toggle(selector)
 
 
 def apply_assignment(driver, assignment, target_package: str):
     """Drive the page into the requested widget states.
 
-    Returns (events, missing): `events` is the (kind, selector, value) list of
-    actions actually issued (no-ops skipped), `missing` the selectors that
-    matched nothing; missing entries never abort the rest of the assignment.
+    Returns (events, missing): `events` is the list of steps actually issued
+    (no-ops skipped), `missing` the selectors that matched nothing; missing
+    entries never abort the rest of the assignment.
     """
     events = []
     missing = []
-    for selector, kind, value in assignment:
+    for step in assignment:
+        event, selector, value = step
         node = match_component(driver.current_tree(), selector, target_package)
         if node is None:
             missing.append(selector)
-            continue
-        if kind is NonTransitiveKind.EDIT_TEXT:
-            if node.text != value:
-                driver.set_text(selector, value)
-                events.append((EventKind.SET_TEXT, selector, value))
-        else:
-            if node.checked != bool(value):
-                driver.toggle(selector)
-                events.append((EventKind.TOGGLE, selector, None))
+        elif (node.text if event is EventKind.SET_TEXT else node.checked) != value:
+            _issue(driver, event, selector, value)
+            events.append(step)
     return events, missing
 
 
@@ -148,18 +141,20 @@ class ExplorationTimeout(Exception):
 
 
 class _BudgetedDriver:
-    """The driver as the explorer sees it: the one place that counts the calls that act.
+    """The driver as the explorer sees it: the one place that gates the calls that act.
 
-    The call that would exceed `max_actions` raises ExplorationTimeout("actions")
-    before it reaches the driver. Every other attribute is the driver's own; the
-    ones the explorer reads in its loops are bound or forwarded here, so reading
-    them skips the `__getattr__` fallback.
+    The call that would exceed `max_actions` raises ExplorationTimeout("actions"),
+    and one made past `deadline` (a `time.monotonic()` reading, None for no limit)
+    raises ExplorationTimeout("time"), both before it reaches the driver. Every
+    other attribute is the driver's own; the ones the explorer reads in its loops
+    are bound or forwarded here, so reading them skips the `__getattr__` fallback.
     """
 
     def __init__(self, driver, max_actions: Optional[int]):
         self._driver = driver
         self._max_actions = max_actions
         self.actions = 0
+        self.deadline: Optional[float] = None
         self.current_tree = driver.current_tree
         self.screenshot_ref = driver.screenshot_ref
 
@@ -173,6 +168,8 @@ class _BudgetedDriver:
     def _act(self) -> None:
         if self.actions == self._max_actions:
             raise ExplorationTimeout("actions")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ExplorationTimeout("time")
         self.actions += 1
 
     def launch_activity(self, icc):
@@ -227,7 +224,6 @@ class Explorer:
         self.failed_direct: set[str] = set()
         self.launch_methods: dict[str, tuple] = {}
         self.outcomes: dict[str, dict] = {}
-        self._deadline = None
         # id(tree) -> (tree, key, xml) for each tree keyed so far, up to KEYED_TREES_CAP.
         # A driver may return the same tree object whenever the page state recurs, so
         # each object is keyed once. The entry holds the tree, so its id is not reused
@@ -240,10 +236,6 @@ class Explorer:
             )
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def _check_timeout(self):
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise ExplorationTimeout("time")
 
     def _record(self, action: str, activity: str = "", scene_id: str = "", selector: str = "", outcome: str = ""):
         self.trace.append(
@@ -316,7 +308,6 @@ class Explorer:
             return False
         src_sid = self._record_scene(self.driver.current_tree(), [])
         for a, b in zip(chain, chain[1:]):
-            self._check_timeout()
             event, component = self.atg.edge_action(a, b)
             tree = self.driver.current_tree()
             activity = tree.source_activity
@@ -352,7 +343,6 @@ class Explorer:
             if chain is None:
                 return None
             tried.add(tuple(chain))
-            self._check_timeout()
             if self._launch_via_chain(chain):
                 self._record("indirect", target, outcome="via " + " -> ".join(chain))
                 return chain
@@ -367,7 +357,6 @@ class Explorer:
         else:
             assignments = [[]]
         for idx, assignment in enumerate(assignments):
-            self._check_timeout()
             if idx > 0 and not self._relaunch(act.name):
                 self._record("relaunch", act.name, outcome="failed; remaining assignments skipped")
                 break
@@ -397,7 +386,6 @@ class Explorer:
         run.expanded.add(sid)
         self._record("expand", activity, sid, outcome=f"run={run.run_id}")
         for node in find_clickable(tree, self.package):
-            self._check_timeout()
             selector = _selector_for(node)
             self.driver.tap(selector)
             ntree = self.driver.current_tree()
@@ -434,12 +422,7 @@ class Explorer:
         if not self._relaunch(act_name):
             raise DriverError(f"cannot restore {act_name}: relaunch failed")
         for event, selector, value in path:
-            if event is EventKind.TAP:
-                self.driver.tap(selector)
-            elif event is EventKind.SET_TEXT:
-                self.driver.set_text(selector, value)
-            elif event is EventKind.TOGGLE:
-                self.driver.toggle(selector)
+            _issue(self.driver, event, selector, value)
             self._record(event.value.lower(), act_name, selector=selector.describe(), outcome="replay")
         tree = self.driver.current_tree()
         if tree.source_activity != act_name or self._state_key(tree) != sid:
@@ -452,7 +435,7 @@ class Explorer:
         if self.out_dir:
             (self.out_dir / "layouts").mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
-        self._deadline = start + config.dynamic_timeout
+        self.driver.deadline = start + config.dynamic_timeout
         remaining = list(self.model.activities)
         rounds = 0
         stop_reason = None
@@ -462,7 +445,6 @@ class Explorer:
                 atg_size = len(self.atg)
                 next_round = []
                 for act in remaining:
-                    self._check_timeout()
                     if self._try_direct(act):
                         self._explore_act(act)
                         self.outcomes.setdefault(act.name, {})["outcome"] = "DIRECT"

@@ -199,17 +199,23 @@ def scenetg_document(scenetg: SceneGraph, atg: ActivityGraph, package: str) -> d
     }
 
 
+def _dot(text: str) -> str:
+    """`text` for the inside of a DOT quoted string: backslash and double quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(doc: dict) -> str:
     """DOT digraph of a scenetg.json document; scene nodes labeled with the 8-char id prefix plus activity."""
     lines = ["digraph scenetg {"]
     for scene in doc["scenes"]:
-        label = f"{scene['id'][:8]}\\n{scene['activity']}"
-        lines.append(f'  "{scene["id"]}" [label="{label}"];')
+        sid = scene["id"]
+        lines.append(f'  "{_dot(sid)}" [label="{_dot(sid[:8])}\\n{_dot(scene["activity"])}"];')
     known = {scene["id"] for scene in doc["scenes"]}
     for edge in doc["scene_edges"]:
         if edge["src"] not in known or edge["dst"] not in known:
             raise MissingEdge(f"edge endpoints must exist as scenes: {edge['src']} -> {edge['dst']}")
-        lines.append(f'  "{edge["src"]}" -> "{edge["dst"]}" [label="{edge["event"]}/{edge["component"]}"];')
+        label = _dot(f"{edge['event']}/{edge['component']}")
+        lines.append(f'  "{_dot(edge["src"])}" -> "{_dot(edge["dst"])}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

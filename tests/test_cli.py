@@ -111,6 +111,44 @@ class TestOtherVerbs:
         assert dot.startswith("digraph scenetg {")
         assert dot == (explored / "scenetg.dot").read_text(encoding="utf-8")
 
+    def test_export_dot_escapes_quotes_and_backslashes(self, tmp_path, capsys):
+        model = {
+            "package": "com.x",
+            "activities": [
+                {
+                    "name": 'Main"Act',
+                    "scenes": [
+                        {
+                            "name": "entry",
+                            "widgets": [{"id": 'go"\\', "class": "android.widget.Button", "clickable": True}],
+                            "transitions": [{"widget": 'go"\\', "target": "scene:done"}],
+                        },
+                        {"name": "done", "widgets": [{"id": "lbl", "class": "android.widget.TextView"}]},
+                    ],
+                }
+            ],
+        }
+        app = tmp_path / "quoted.json"
+        app.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        assert main(["explore", "--app", str(app), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["export", "--in", str(out), "--format", "dot"]) == EXIT_OK
+        dot = capsys.readouterr().out
+        assert dot == (out / "scenetg.dot").read_text(encoding="utf-8")
+        string = r'"((?:[^"\\]|\\.)*)"'  # a DOT quoted string; group 1 is its escaped inside
+        node = re.compile(rf"  {string} \[label={string}\];")
+        edge = re.compile(rf"  {string} -> {string} \[label={string}\];")
+        lines = dot.splitlines()
+        assert lines[0] == "digraph scenetg {" and lines[-1] == "}"
+        labels = []
+        for line in lines[1:-1]:
+            match = node.fullmatch(line) or edge.fullmatch(line)
+            assert match, line
+            labels.append(re.sub(r'\\([\\"])', r"\1", match.group(match.lastindex)))  # \n stays a DOT line break
+        assert sum(label.endswith('\\nMain"Act') for label in labels) == 2
+        assert 'TAP/com.x:id/go"\\' in labels
+
     def test_export_corrupt_graph_is_runtime_error(self, explored, tmp_path, capsys):
         good = json.loads((explored / "scenetg.json").read_text())
         dangling = dict(good, scene_edges=[{"src": "x", "dst": "y", "event": "TAP", "component": "c"}])

@@ -10,14 +10,13 @@ from conftest import PKG, load_benchmark, make_node, make_tree
 from scenetg import engine, identity
 from scenetg.engine import (
     ExplorationConfig,
-    NonTransitiveKind,
     apply_assignment,
     explore,
     fuzz_assignments,
     non_transitive_kind,
     write_outputs,
 )
-from scenetg.graphs import ActivityGraph
+from scenetg.graphs import ActivityGraph, EventKind
 from scenetg.icc import IccMessage, build_icc
 from scenetg.layout import Selector, serialize_tree
 from scenetg.simulator import parse_app_model, simulate
@@ -35,11 +34,11 @@ def _fuzz_page(extra=()):
 
 class TestFuzzAssignments:
     def test_non_transitive_classification(self):
-        assert non_transitive_kind("android.widget.EditText") is NonTransitiveKind.EDIT_TEXT
-        assert non_transitive_kind("androidx.appcompat.widget.AppCompatEditText") is NonTransitiveKind.EDIT_TEXT
-        assert non_transitive_kind("android.widget.CheckBox") is NonTransitiveKind.CHECKBOX
-        assert non_transitive_kind("androidx.appcompat.widget.SwitchCompat") is NonTransitiveKind.SWITCH
-        assert non_transitive_kind("android.widget.ToggleButton") is NonTransitiveKind.SWITCH
+        assert non_transitive_kind("android.widget.EditText") is EventKind.SET_TEXT
+        assert non_transitive_kind("androidx.appcompat.widget.AppCompatEditText") is EventKind.SET_TEXT
+        assert non_transitive_kind("android.widget.CheckBox") is EventKind.TOGGLE
+        assert non_transitive_kind("androidx.appcompat.widget.SwitchCompat") is EventKind.TOGGLE
+        assert non_transitive_kind("android.widget.ToggleButton") is EventKind.TOGGLE
         assert non_transitive_kind("android.widget.Button") is None
 
     def test_three_components_yield_eight_assignments(self):
@@ -73,6 +72,30 @@ class TestFuzzAssignments:
         tree = make_tree(make_node(cls="android.widget.FrameLayout"))
         assert fuzz_assignments(tree, ExplorationConfig(), PKG) == [[]]
 
+    def test_input_type_is_asked_once_per_edit_text(self):
+        widgets = [{"id": f"ed_{t}", "class": "android.widget.EditText", "input_type": t} for t in ("text", "number", "phone")]
+        widgets.append({"id": "chk", "class": "android.widget.CheckBox", "checkable": True})
+        model = parse_app_model({"package": PKG, "activities": [{"name": "MainActivity", "scenes": [{"name": "entry", "widgets": widgets}]}]})
+        driver = _InputTypeCounter(simulate(model))
+        result = explore(model, driver, ExplorationConfig(enable_scene_id=False))
+        assert result.report["stats"]["scenes"] == 2 ** 4  # every assignment ran: raw states tell them apart
+        assert driver.asked == [Selector(resource_id=f"{PKG}:id/ed_{t}") for t in ("text", "number", "phone")]
+
+
+class _InputTypeCounter:
+    """A driver that lists every selector its input types are asked for."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.asked = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def input_type_of(self, selector):
+        self.asked.append(selector)
+        return self._inner.input_type_of(selector)
+
 
 class TestApplyAssignment:
     def test_drives_widgets_and_skips_noops(self):
@@ -81,10 +104,10 @@ class TestApplyAssignment:
         driver.launch_activity(IccMessage("MainActivity"))
         pkg = model.package
         assignment = [
-            (Selector(resource_id=f"{pkg}:id/ed_code"), NonTransitiveKind.EDIT_TEXT, "hello"),
-            (Selector(resource_id=f"{pkg}:id/chk_agree"), NonTransitiveKind.CHECKBOX, False),  # no-op
-            (Selector(resource_id=f"{pkg}:id/sw_mode"), NonTransitiveKind.SWITCH, True),
-            (Selector(resource_id=f"{pkg}:id/sw_ghost"), NonTransitiveKind.SWITCH, True),  # missing
+            (EventKind.SET_TEXT, Selector(resource_id=f"{pkg}:id/ed_code"), "hello"),
+            (EventKind.TOGGLE, Selector(resource_id=f"{pkg}:id/chk_agree"), False),  # no-op
+            (EventKind.TOGGLE, Selector(resource_id=f"{pkg}:id/sw_mode"), True),
+            (EventKind.TOGGLE, Selector(resource_id=f"{pkg}:id/sw_ghost"), True),  # missing
         ]
         events, missing = apply_assignment(driver, assignment, pkg)
         assert [e[0].value for e in events] == ["SET_TEXT", "TOGGLE"]
@@ -140,6 +163,46 @@ def _ladder_model(activities: int, fan: int):
             }
         )
     return parse_app_model({"package": PKG, "activities": acts})
+
+
+class _ClockedDriver:
+    """Logs each acting call with the clock reading it was made at; the relaunch of a
+    restore with steps to replay moves the clock an hour on."""
+
+    def __init__(self, inner, clock, restoring):
+        self._inner = inner
+        self._clock = clock
+        self._restoring = restoring
+        self.acted = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def _log(self, name):
+        self.acted.append((name, self._clock.now))
+
+    def launch_activity(self, icc):
+        self._log("launch_activity")
+        result = self._inner.launch_activity(icc)
+        if self._restoring and self._restoring[-1]:
+            self._clock.now += 3600
+        return result
+
+    def tap(self, selector):
+        self._log("tap")
+        self._inner.tap(selector)
+
+    def set_text(self, selector, value):
+        self._log("set_text")
+        self._inner.set_text(selector, value)
+
+    def toggle(self, selector):
+        self._log("toggle")
+        self._inner.toggle(selector)
+
+    def press_back(self):
+        self._log("press_back")
+        self._inner.press_back()
 
 
 class TestExploration:
@@ -233,6 +296,30 @@ class TestExploration:
         assert result.report["partial"] and result.report["stop_reason"] == "time"
         assert result.trace[-1]["outcome"] == "dynamic timeout reached; partial results"
         assert result.report["stats"]["scenes"] >= 20
+
+    def test_deadline_stops_a_replay_between_two_actions(self, monkeypatch):
+        # The clock passes the deadline at the relaunch of a restore that still has
+        # the fuzz toggle to replay: that toggle must not reach the driver.
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(engine, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        restoring = []  # the path of the restore under way, if any
+        restore = engine.Explorer._restore
+
+        def tracked(explorer, act_name, sid, path):
+            restoring.append(path)
+            try:
+                restore(explorer, act_name, sid, path)
+            finally:
+                restoring.pop()
+
+        monkeypatch.setattr(engine.Explorer, "_restore", tracked)
+        model = parse_app_model(_REPLAY_MODEL)
+        driver = _ClockedDriver(simulate(model), clock, restoring)
+        result = explore(model, driver, ExplorationConfig(dynamic_timeout=50))
+        assert clock.now > 50 and driver.acted[-1] == ("launch_activity", 0.0)
+        assert all(at <= 50 for _, at in driver.acted)  # nothing acted past the deadline
+        assert result.report["partial"] and result.report["stop_reason"] == "time"
+        assert result.trace[-1]["outcome"] == "dynamic timeout reached; partial results"
 
     def test_determinism_across_runs(self, tmp_path):
         from scenetg import explore, write_outputs
