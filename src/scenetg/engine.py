@@ -3,6 +3,7 @@ exploration, indirect launching, re-queue, and the ATG-growth stop rule."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -15,22 +16,14 @@ from . import identity
 from .errors import DriverError, SelectorNotFound
 from .graphs import ActivityEdge, ActivityGraph, EdgeOrigin, EventKind, SceneEdge, SceneGraph, stats
 from .icc import build_icc, direct_launch, value_for_input_type
-from .layout import (
-    ComponentNode,
-    ComponentTree,
-    Selector,
-    bfs_nodes,
-    find_clickable,
-    match_component,
-    serialize_tree,
-)
+from .layout import ComponentNode, ComponentTree, NodeIndex, Selector, serialize_tree
 
 # Non-transitive components fuzzed per page (2^cap assignments at most); the rest keep their defaults.
 FUZZ_COMPONENT_CAP = 6
 # Depth of in-activity scene expansion; back-press restores try this many presses plus two.
 MAX_DEPTH_PER_ACTIVITY = 20
-# Tree objects whose state key the explorer keeps; past it the oldest is dropped,
-# and that tree is keyed anew if the driver returns it again.
+# Tree objects whose state key and node index the explorer keeps; past it the
+# oldest is dropped, and that tree is keyed and indexed anew if the driver returns it again.
 KEYED_TREES_CAP = 1024
 
 
@@ -75,11 +68,17 @@ def _selector_for(node: ComponentNode) -> Selector:
     return Selector(widget_class=node.widget_class, bounds=node.bounds)
 
 
+def _indexer(target_package: str) -> Callable[[ComponentTree], NodeIndex]:
+    """A fresh NodeIndex of each tree it is given: for callers that hold no index of their own."""
+    return functools.partial(NodeIndex, target_package=target_package)
+
+
 def fuzz_assignments(
     tree: ComponentTree,
     config: ExplorationConfig,
     target_package: str,
     input_type_lookup: Optional[Callable[[Selector], Optional[str]]] = None,
+    index_of: Optional[Callable[[ComponentTree], NodeIndex]] = None,
 ) -> list[list[tuple[EventKind, Selector, object]]]:
     """All 2^k widget-state combinations over the page's non-transitive components.
 
@@ -87,10 +86,11 @@ def fuzz_assignments(
     for SET_TEXT, checked or not for TOGGLE. Components are taken in BFS order;
     beyond the cap they stay pinned at their defaults. Assignment order is binary
     counting with the first component as the most significant bit, so
-    assignment 0 is all-defaults.
+    assignment 0 is all-defaults. `index_of` gives a tree's NodeIndex; by
+    default the tree is indexed anew.
     """
     pairs = []  # the (off, on) steps of each fuzzed component
-    for node in bfs_nodes(tree, target_package):
+    for node in (index_of or _indexer(target_package))(tree).order:
         event = non_transitive_kind(node.widget_class)
         if event is None:
             continue
@@ -116,18 +116,22 @@ def _issue(driver, event: EventKind, selector: Selector, value) -> None:
         driver.toggle(selector)
 
 
-def apply_assignment(driver, assignment, target_package: str):
+def apply_assignment(
+    driver, assignment, target_package: str, index_of: Optional[Callable[[ComponentTree], NodeIndex]] = None
+):
     """Drive the page into the requested widget states.
 
     Returns (events, missing): `events` is the list of steps actually issued
     (no-ops skipped), `missing` the selectors that matched nothing; missing
-    entries never abort the rest of the assignment.
+    entries never abort the rest of the assignment. `index_of` gives a tree's
+    NodeIndex; by default each page is indexed anew.
     """
+    index_of = index_of or _indexer(target_package)
     events = []
     missing = []
     for step in assignment:
         event, selector, value = step
-        node = match_component(driver.current_tree(), selector, target_package)
+        node = index_of(driver.current_tree()).match(selector)
         if node is None:
             missing.append(selector)
         elif (node.text if event is EventKind.SET_TEXT else node.checked) != value:
@@ -193,6 +197,19 @@ class _BudgetedDriver:
         self._driver.press_back()
 
 
+class _Seen:
+    """What the explorer derives from one tree object, each part made when first asked for."""
+
+    __slots__ = ("tree", "key", "xml", "index", "taps")
+
+    def __init__(self, tree: ComponentTree):
+        self.tree = tree  # held, so that the id the entry is filed under is not reused while it lives
+        self.key: Optional[str] = None  # the state key
+        self.xml: Optional[str] = None  # the text the raw-state key hashed
+        self.index: Optional[NodeIndex] = None
+        self.taps: Optional[list[Selector]] = None  # a selector for each clickable node, in BFS order
+
+
 @dataclass
 class _RunCtx:
     run_id: str
@@ -224,11 +241,10 @@ class Explorer:
         self.failed_direct: set[str] = set()
         self.launch_methods: dict[str, tuple] = {}
         self.outcomes: dict[str, dict] = {}
-        # id(tree) -> (tree, key, xml) for each tree keyed so far, up to KEYED_TREES_CAP.
+        # id(tree) -> what was derived from each tree seen so far, up to KEYED_TREES_CAP.
         # A driver may return the same tree object whenever the page state recurs, so
-        # each object is keyed once. The entry holds the tree, so its id is not reused
-        # while the entry lives. `xml` is the text the raw-state key hashed.
-        self._keys: dict[int, tuple[ComponentTree, str, Optional[str]]] = {}
+        # each object is keyed, walked and indexed once.
+        self._keys: dict[int, _Seen] = {}
         for caller, callee, event, component in model.seed_atg:
             selector = Selector(resource_id=f"{self.package}:id/{component}")
             self.atg.add_edge(
@@ -249,30 +265,49 @@ class Explorer:
             }
         )
 
-    def _keyed(self, tree: ComponentTree) -> tuple[ComponentTree, str, Optional[str]]:
-        entry = self._keys.get(id(tree))
-        if entry is None:
-            if self.config.enable_scene_id:
-                entry = (tree, identity.scene_id(tree, self.package), None)
-            else:
-                xml = serialize_tree(tree)
-                entry = (tree, identity.raw_state_id(xml), xml)
-            self._keys[id(tree)] = entry
+    def _seen(self, tree: ComponentTree) -> _Seen:
+        seen = self._keys.get(id(tree))
+        if seen is None:
+            seen = self._keys[id(tree)] = _Seen(tree)
             if len(self._keys) > KEYED_TREES_CAP:
                 del self._keys[next(iter(self._keys))]
-        return entry
+        return seen
+
+    def _keyed(self, tree: ComponentTree) -> _Seen:
+        seen = self._seen(tree)
+        if seen.key is None:
+            if self.config.enable_scene_id:
+                seen.key = identity.scene_id(tree, self.package)
+            else:
+                seen.xml = serialize_tree(tree)
+                seen.key = identity.raw_state_id(seen.xml)
+        return seen
 
     def _state_key(self, tree: ComponentTree) -> str:
-        return self._keyed(tree)[1]
+        return self._keyed(tree).key
+
+    def _index(self, tree: ComponentTree) -> NodeIndex:
+        seen = self._seen(tree)
+        if seen.index is None:
+            seen.index = NodeIndex(tree, self.package)
+        return seen.index
+
+    def _taps(self, tree: ComponentTree) -> list[Selector]:
+        seen = self._seen(tree)
+        if seen.taps is None:
+            seen.taps = [_selector_for(n) for n in self._index(tree).order if n.clickable]
+        return seen.taps
 
     def _record_scene(self, tree: ComponentTree, path: list) -> str:
-        _, sid, xml = self._keyed(tree)
+        seen = self._keyed(tree)
+        sid = seen.key
         if sid in self.scenetg.nodes:
             return sid
         layout_ref = f"layouts/{sid}.xml"
         if self.out_dir:
             # Under scene ids the key serialised nothing. `explore` made the directory.
-            (self.out_dir / layout_ref).write_text(xml if xml is not None else serialize_tree(tree), encoding="utf-8")
+            xml = seen.xml if seen.xml is not None else serialize_tree(tree)
+            (self.out_dir / layout_ref).write_text(xml, encoding="utf-8")
         shot = self.driver.screenshot_ref()
         self.scenetg.add_node(sid, tree.source_activity, layout_ref, shot)
         self.paths[sid] = [[event.value, selector.describe()] for event, selector, _ in path]
@@ -311,7 +346,7 @@ class Explorer:
             event, component = self.atg.edge_action(a, b)
             tree = self.driver.current_tree()
             activity = tree.source_activity
-            if match_component(tree, component, self.package) is None:
+            if self._index(tree).match(component) is None:
                 self._record("replay", activity, src_sid, component.describe(), "component missing")
                 return False
             self.driver.tap(component)
@@ -352,7 +387,7 @@ class Explorer:
     def _explore_act(self, act) -> None:
         if self.config.enable_fuzzing:
             assignments = fuzz_assignments(
-                self.driver.current_tree(), self.config, self.package, input_type_lookup=self._input_type_of
+                self.driver.current_tree(), self.config, self.package, self._input_type_of, self._index
             )
         else:
             assignments = [[]]
@@ -360,7 +395,7 @@ class Explorer:
             if idx > 0 and not self._relaunch(act.name):
                 self._record("relaunch", act.name, outcome="failed; remaining assignments skipped")
                 break
-            events, missing = apply_assignment(self.driver, assignment, self.package)
+            events, missing = apply_assignment(self.driver, assignment, self.package, self._index)
             for event, selector, _ in events:
                 self._record(event.value.lower(), act.name, selector=selector.describe(), outcome="fuzz")
             for selector in missing:
@@ -385,8 +420,7 @@ class Explorer:
             return
         run.expanded.add(sid)
         self._record("expand", activity, sid, outcome=f"run={run.run_id}")
-        for node in find_clickable(tree, self.package):
-            selector = _selector_for(node)
+        for selector in self._taps(tree):
             self.driver.tap(selector)
             ntree = self.driver.current_tree()
             nact = ntree.source_activity

@@ -245,13 +245,34 @@ def bfs_nodes(tree: ComponentTree, target_package: str, collapse_adapters: bool 
     return order
 
 
+class NodeIndex:
+    """One tree's `bfs_nodes` order, walked once, and the first node of that order per resource id.
+
+    `match` is what a selector means to the engine and the simulator alike:
+    the first node of the order the selector matches, or None. A tree's
+    index goes stale if the tree is changed after it was built.
+    """
+
+    __slots__ = ("order", "by_rid")
+
+    def __init__(self, tree: ComponentTree, target_package: str):
+        self.order = bfs_nodes(tree, target_package)
+        # Filled from the back, so the node that stays for an id is its first in the order.
+        self.by_rid = {node.resource_id: node for node in reversed(self.order)}
+
+    def match(self, selector: Selector) -> Optional[ComponentNode]:
+        if selector.resource_id is not None:
+            node = self.by_rid.get(selector.resource_id)
+            if node is None or selector.matches(node):
+                return node
+            # The first node with this id fails the selector's other fields; a later one may not.
+        return next((n for n in self.order if selector.matches(n)), None)
+
+
 def find_clickable(tree: ComponentTree, target_package: str) -> list[ComponentNode]:
     return [n for n in bfs_nodes(tree, target_package) if n.clickable]
 
 
 def match_component(tree: ComponentTree, selector: Selector, target_package: str) -> Optional[ComponentNode]:
-    """The first node of `bfs_nodes(tree, target_package)` the selector matches, or None.
-
-    This is what a selector means to the engine and the simulator alike.
-    """
-    return next((n for n in bfs_nodes(tree, target_package) if selector.matches(n)), None)
+    """The first node of `bfs_nodes(tree, target_package)` the selector matches, or None (`NodeIndex.match`)."""
+    return NodeIndex(tree, target_package).match(selector)

@@ -8,17 +8,19 @@ exploration runs byte-identically for a fixed (model, seed).
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DanglingReference, DriverError, SchemaError, SelectorNotFound
 from .graphs import EventKind
 from .icc import ExtraType, IccMessage
-from .layout import Bounds, ComponentNode, ComponentTree, Selector, match_component
+from .layout import BOUNDS_CACHE_SIZE, Bounds, ComponentNode, ComponentTree, NodeIndex, Selector
 
 
 class LaunchReason(str, Enum):
@@ -75,6 +77,10 @@ class SceneModel:
     name: str
     widgets: list[WidgetModel]  # the top-level widgets, in render order
     transitions: list[TransitionModel]
+    # The values of the state slots a render of the scene reads, from an activity
+    # instance's per-widget dict: its own widgets, nested ones too, and every widget
+    # their `visible_when` names. Set by `_parse_scenes`.
+    shown: Callable[[dict], object] = lambda slots: ()
 
 
 @dataclass
@@ -259,7 +265,10 @@ def _parse_scenes(raw_scenes: list, where: str, launches: list) -> tuple[dict, d
     # Widget state is held per activity instance, so guards, effects, and
     # visibility conditions may reference widgets from any scene of the
     # activity; only a transition's trigger widget must live in its own scene.
+    # A render of the scene reads only its own widgets' slots and those their
+    # visibility conditions name, so those alone make its page state.
     for scene, (sw, own) in zip(scenes.values(), owned):
+        shown = dict.fromkeys(own)
         for j, tr in enumerate(scene.transitions):
             tw = f"{sw}.transitions[{j}]"
             if tr.widget not in own:
@@ -281,6 +290,9 @@ def _parse_scenes(raw_scenes: list, where: str, launches: list) -> tuple[dict, d
             for cond in widgets[wid].visible_when:
                 if cond.widget not in widgets:
                     raise DanglingReference(f"{sw}: visible_when of widget {wid!r} references unknown {cond.widget!r}")
+                shown[cond.widget] = None
+        if shown:
+            scene.shown = itemgetter(*shown)
     return scenes, widgets
 
 
@@ -346,7 +358,10 @@ def parse_app_model(doc: dict) -> AppModel:
 
 
 def load_app_model(path) -> AppModel:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"model: not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -377,6 +392,22 @@ _EXTRA_FORMATS = {
 # return to that page state renders it anew.
 PAGE_CACHE_SIZE = 1024
 
+_SCREEN = Bounds(0, 0, 1080, 1920)
+
+
+@functools.lru_cache(maxsize=BOUNDS_CACHE_SIZE)
+def _row(k: int) -> Bounds:
+    """The bounds of the k-th 100 px row, one frozen instance for every node drawn in it."""
+    return Bounds(0, k * 100, 1080, k * 100 + 100)
+
+
+class _Page(NamedTuple):
+    """One rendered page: its tree, the widget model behind each node (by `id(node)`), and its node index."""
+
+    tree: ComponentTree
+    owners: dict[int, WidgetModel]
+    index: NodeIndex
+
 
 class _ActivityInstance:
     """One activity instance's widget states: one slot per widget of the activity, by id, in model order."""
@@ -394,7 +425,7 @@ class _ActivityInstance:
 
     def page_key(self, scene: SceneModel) -> tuple:
         """Everything `_render` reads of a frame on this instance showing `scene`."""
-        return (self.model.name, scene.name, tuple(self.text.values()), tuple(self.checked.values()))
+        return (self.model.name, scene.name, scene.shown(self.text), scene.shown(self.checked))
 
 
 @dataclass
@@ -411,10 +442,10 @@ class SimulatorSession:
         self._stack: list[_Frame] = []
         self._shots = 0
         # Every page rendered so far (up to PAGE_CACHE_SIZE), by `page_key`: a page state seen
-        # again gives back the same tree. `_page` is the current one; None once an action may
-        # have changed it.
-        self._pages: dict[tuple, tuple[ComponentTree, dict[int, WidgetModel]]] = {}
-        self._page: Optional[tuple[ComponentTree, dict[int, WidgetModel]]] = None
+        # again gives back the same tree and index. `_page` is the current one; None once an
+        # action may have changed it.
+        self._pages: dict[tuple, _Page] = {}
+        self._page: Optional[_Page] = None
 
     # -- driver contract ----------------------------------------------------
 
@@ -441,7 +472,7 @@ class SimulatorSession:
         return LaunchResult(LaunchReason.OK)
 
     def current_tree(self) -> ComponentTree:
-        return self._current_page()[0]
+        return self._current_page().tree
 
     def tap(self, selector: Selector) -> None:
         frame = self._top()
@@ -526,32 +557,35 @@ class SimulatorSession:
         return out
 
     def _render_widget(self, widget: WidgetModel, instance: _ActivityInstance, index: int, owners: dict) -> ComponentNode:
-        k = len(owners) + 1  # preorder position: each widget node gets its own 100 px row
-        node = ComponentNode(
-            widget_class=widget.widget_class,
-            package=self.model.package,
-            resource_id=self._resource_id(widget.rid or widget.id),
-            text=instance.text[widget.id],
-            bounds=Bounds(0, k * 100, 1080, k * 100 + 100),
-            clickable=widget.clickable,
-            checkable=widget.checkable,
-            checked=instance.checked[widget.id],
-            enabled=True,
-            index=index,
+        node = ComponentNode(  # positional, in field order
+            widget.widget_class,
+            self.model.package,
+            self._resource_id(widget.rid or widget.id),
+            instance.text[widget.id],
+            _row(len(owners) + 1),  # preorder position: each widget node gets its own 100 px row
+            widget.clickable,
+            widget.checkable,
+            instance.checked[widget.id],
+            True,
+            False,
+            False,
+            index,
+            [],
         )
         owners[id(node)] = widget
         for i, child in enumerate(self._visible_widgets(widget.children, instance)):
             node.children.append(self._render_widget(child, instance, i, owners))
         return node
 
-    def _current_page(self) -> tuple[ComponentTree, dict[int, WidgetModel]]:
-        """The top frame's page, rendered only the first time its page state is seen."""
+    def _current_page(self) -> _Page:
+        """The top frame's page, rendered and indexed only the first time its page state is seen."""
         if self._page is None:
             frame = self._top()
             key = frame.instance.page_key(frame.scene)
             page = self._pages.get(key)
             if page is None:
-                page = self._pages[key] = self._render(frame)
+                tree, owners = self._render(frame)
+                page = self._pages[key] = _Page(tree, owners, NodeIndex(tree, self.model.package))
                 if len(self._pages) > PAGE_CACHE_SIZE:
                     del self._pages[next(iter(self._pages))]
             self._page = page
@@ -564,7 +598,7 @@ class SimulatorSession:
             widget_class="android.widget.FrameLayout",
             package=self.model.package,
             resource_id="",
-            bounds=Bounds(0, 0, 1080, 1920),
+            bounds=_SCREEN,
             enabled=True,
             index=0,
         )
@@ -573,9 +607,9 @@ class SimulatorSession:
         return ComponentTree(root=root, source_activity=frame.instance.model.name), owners
 
     def _resolve(self, frame: _Frame, selector: Selector) -> WidgetModel:
-        """The widget behind the node `match_component` picks on the current page."""
-        tree, owners = self._current_page()
-        widget = owners.get(id(match_component(tree, selector, self.model.package)))
+        """The widget behind the node the selector picks on the current page (`NodeIndex.match`)."""
+        page = self._current_page()
+        widget = page.owners.get(id(page.index.match(selector)))
         if widget is None:
             raise SelectorNotFound(f"{selector.describe()!r} not on scene {frame.scene.name!r}")
         return widget

@@ -266,6 +266,16 @@ class TestOtherVerbs:
         with pytest.raises(SchemaError, match="nested too deeply"):
             load_app_model(bad)
 
+    @pytest.mark.parametrize("verb", ["validate-model", "explore"])
+    def test_model_that_is_not_utf8_is_schema_error(self, verb, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        extra = ["--out", str(tmp_path / "out")] if verb == "explore" else []
+        assert main([verb, "--app", str(bad), *extra]) == EXIT_USAGE
+        assert "model: not UTF-8 text" in capsys.readouterr().err
+        with pytest.raises(SchemaError, match="^model: not UTF-8 text: "):
+            load_app_model(bad)
+
     def test_validate_model_names_unknown_field(self, tmp_path, capsys):
         doc = json.loads(benchmark_path("app01.json").read_text())
         doc["activities"][0]["scenes"][0]["widgets"][0]["clikable"] = True

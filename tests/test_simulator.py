@@ -37,6 +37,36 @@ def _count_renders(monkeypatch, driver):
     return renders
 
 
+def _walk_checking_pages(model, rng, cache_size, name):
+    """200 seeded random actions; after each, the page served (cached or not) must serialise like a fresh render."""
+    driver = simulate(model)
+    for _ in range(200):
+        if not driver.running or rng.random() < 0.05:
+            driver.launch_activity(build_icc(rng.choice(model.activities), 0))
+        elif rng.random() < 0.1:
+            driver.press_back()
+        else:
+            node = rng.choice(list(driver.current_tree().root.iter_subtree())[1:] or [None])
+            if node is None:
+                continue
+            if node.resource_id:
+                selector = Selector(resource_id=node.resource_id)
+            else:
+                selector = Selector(widget_class=node.widget_class, bounds=node.bounds)
+            action = rng.choice(["tap", "tap", "toggle", "set_text"])
+            if action == "set_text":
+                driver.set_text(selector, rng.choice(["", "x", "42"]))
+            else:
+                getattr(driver, action)(selector)
+        if driver.running:
+            tree = driver.current_tree()
+            fresh, _ = driver._render(driver._top())
+            assert fresh is not tree, name
+            assert tree.source_activity == fresh.source_activity, name
+            assert serialize_tree(tree) == serialize_tree(fresh), name
+        assert len(driver._pages) <= cache_size
+
+
 MODEL = {
     "package": PKG,
     "activities": [
@@ -94,6 +124,75 @@ MODEL = {
     "seed_atg": [["MainActivity", "DetailActivity", "TAP", "btn_detail"]],
 }
 
+
+# Each scene reads state that another scene's widgets own: a visibility condition,
+# a set_text and an increment name a widget of the other scene, and "empty" shows nothing.
+CROSS_SCENE_MODEL = {
+    "package": PKG,
+    "activities": [
+        {
+            "name": "MainActivity",
+            "scenes": [
+                {
+                    "name": "entry",
+                    "widgets": [
+                        {"id": "sw_a", "class": "android.widget.Switch", "checkable": True, "clickable": True},
+                        {"id": "ed_a", "class": "android.widget.EditText"},
+                        {"id": "lbl_count", "class": "android.widget.TextView", "text": "0"},
+                        {
+                            "id": "lbl_peek",
+                            "class": "android.widget.TextView",
+                            "visible_when": [{"widget": "cb_b", "checked": True}],
+                        },
+                        {
+                            "id": "box",
+                            "class": "android.widget.LinearLayout",
+                            "children": [
+                                {
+                                    "id": "lbl_nested",
+                                    "class": "android.widget.TextView",
+                                    "visible_when": [{"widget": "lbl_b", "filled": True}],
+                                }
+                            ],
+                        },
+                        {"id": "btn_other", "class": "android.widget.Button", "clickable": True},
+                        {"id": "btn_set", "class": "android.widget.Button", "clickable": True},
+                        {"id": "btn_inc", "class": "android.widget.Button", "clickable": True},
+                    ],
+                    "transitions": [
+                        {"widget": "btn_other", "target": "scene:other"},
+                        {"widget": "btn_set", "set_text": {"widget": "lbl_b", "value": "set"}},
+                        {"widget": "btn_inc", "increment": "lbl_taps"},
+                    ],
+                },
+                {
+                    "name": "other",
+                    "widgets": [
+                        {"id": "cb_b", "class": "android.widget.CheckBox", "checkable": True, "clickable": True},
+                        {"id": "lbl_b", "class": "android.widget.TextView"},
+                        {"id": "lbl_taps", "class": "android.widget.TextView", "text": "0"},
+                        {
+                            "id": "lbl_gated",
+                            "class": "android.widget.TextView",
+                            "visible_when": [{"widget": "sw_a", "checked": True}, {"widget": "ed_a", "filled": True}],
+                        },
+                        {"id": "btn_entry", "class": "android.widget.Button", "clickable": True},
+                        {"id": "btn_inc_b", "class": "android.widget.Button", "clickable": True},
+                        {"id": "btn_type", "class": "android.widget.Button", "clickable": True},
+                        {"id": "btn_empty", "class": "android.widget.Button", "clickable": True},
+                    ],
+                    "transitions": [
+                        {"widget": "btn_entry", "target": "scene:entry"},
+                        {"widget": "btn_inc_b", "increment": "lbl_count"},
+                        {"widget": "btn_type", "set_text": {"widget": "ed_a", "value": "typed"}, "target": "scene:entry"},
+                        {"widget": "btn_empty", "target": "scene:empty"},
+                    ],
+                },
+                {"name": "empty"},
+            ],
+        }
+    ],
+}
 
 @pytest.fixture
 def driver():
@@ -428,33 +527,17 @@ class TestSession:
         monkeypatch.setattr(simulator, "PAGE_CACHE_SIZE", cache_size)
         rng = random.Random(20261018)
         for path in sorted(Path(str(benchmark_path("app01.json"))).parent.glob("*.json")):
-            model = load_app_model(path)
-            driver = simulate(model)
-            for _ in range(200):
-                if not driver.running or rng.random() < 0.05:
-                    driver.launch_activity(build_icc(rng.choice(model.activities), 0))
-                elif rng.random() < 0.1:
-                    driver.press_back()
-                else:
-                    node = rng.choice(list(driver.current_tree().root.iter_subtree())[1:] or [None])
-                    if node is None:
-                        continue
-                    if node.resource_id:
-                        selector = Selector(resource_id=node.resource_id)
-                    else:
-                        selector = Selector(widget_class=node.widget_class, bounds=node.bounds)
-                    action = rng.choice(["tap", "tap", "toggle", "set_text"])
-                    if action == "set_text":
-                        driver.set_text(selector, rng.choice(["", "x", "42"]))
-                    else:
-                        getattr(driver, action)(selector)
-                if driver.running:
-                    tree = driver.current_tree()
-                    fresh, _ = driver._render(driver._top())
-                    assert fresh is not tree, path.name
-                    assert tree.source_activity == fresh.source_activity, path.name
-                    assert serialize_tree(tree) == serialize_tree(fresh), path.name
-                assert len(driver._pages) <= cache_size
+            _walk_checking_pages(load_app_model(path), rng, cache_size, path.name)
+
+    @pytest.mark.parametrize("cache_size", [simulator.PAGE_CACHE_SIZE, 2], ids=["bound", "bound-2"])
+    def test_cached_page_equals_a_fresh_render_across_scenes(self, cache_size, monkeypatch):
+        # A page's key reads only the slots its scene shows, so a widget one scene shows
+        # and another scene's visibility condition, set_text or increment names must
+        # still reach the key of every page it changes.
+        monkeypatch.setattr(simulator, "PAGE_CACHE_SIZE", cache_size)
+        rng = random.Random(14)
+        for _ in range(10):
+            _walk_checking_pages(parse_app_model(json.loads(json.dumps(CROSS_SCENE_MODEL))), rng, cache_size, "cross")
 
     def test_class_and_bounds_selector_honours_bounds(self):
         button = "android.widget.Button"

@@ -1,10 +1,13 @@
-"""The runtime stays on the standard library: `src/scenetg/*.py` imports nothing else."""
+"""The runtime stays on the standard library: `src/scenetg/*.py` imports nothing else,
+and its syntax stays within the oldest Python that `pyproject.toml` declares."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "scenetg").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "scenetg").glob("*.py"))
 
 
 def _absolute_imports(path: Path):
@@ -20,3 +23,11 @@ def test_sources_import_only_the_standard_library():
     assert SOURCES
     foreign = [f"{path.name}: {name}" for path in SOURCES for name in _absolute_imports(path) if name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_sources_parse_under_the_declared_python_floor():
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor, "pyproject.toml declares no requires-python floor of the form >=3.N"
+    version = (3, int(floor.group(1)))
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
