@@ -3,7 +3,8 @@
 Each bundled model is explored (seed 0) under the default config and under
 each single-flag ablation, and the digests of its deterministic artifacts,
 the recorded ``layouts/`` included, are compared with
-``tests/golden_digests.json``. That file maps a config label (``default`` or
+``tests/golden_digests.json``. ``report.json`` is locked without its
+``wall_time_s``, the one field that varies from run to run. That file maps a config label (``default`` or
 ``<field>=False``) to the locked models. A change that alters an artifact on
 purpose updates that file by hand and says so in CHANGES.md.
 """
@@ -34,12 +35,20 @@ def layouts_digest(layouts: Path) -> str:
     return h.hexdigest()
 
 
+def report_digest(path: Path) -> str:
+    """sha256 of a written report.json with `wall_time_s` removed, dumped again with indent=2."""
+    report = json.loads(path.read_text(encoding="utf-8"))
+    del report["wall_time_s"]
+    return hashlib.sha256(json.dumps(report, indent=2).encode("utf-8")).hexdigest()
+
+
 def artifact_digests(name, out, **cfg) -> dict:
     model = load_app_model(benchmark_path(name))
     result = explore(model, simulate(model), ExplorationConfig(**cfg), out_dir=out)
     write_outputs(result, out, model.package)
     digests = {a: hashlib.sha256((out / a).read_bytes()).hexdigest() for a in ARTIFACTS}
     digests["layouts/"] = layouts_digest(out / "layouts")
+    digests["report.json"] = report_digest(out / "report.json")
     return digests
 
 
