@@ -10,7 +10,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str  # the C escaper of json.dumps(ensure_ascii=True)
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import identity
 from .errors import DriverError, SelectorNotFound
@@ -197,17 +197,14 @@ class _BudgetedDriver:
         self._driver.press_back()
 
 
-class _Seen:
-    """What the explorer derives from one tree object, each part made when first asked for."""
+class _Seen(NamedTuple):
+    """What the explorer derives from one tree object, made in full when the object is first seen."""
 
-    __slots__ = ("tree", "key", "xml", "index", "taps")
-
-    def __init__(self, tree: ComponentTree):
-        self.tree = tree  # held, so that the id the entry is filed under is not reused while it lives
-        self.key: Optional[str] = None  # the state key
-        self.xml: Optional[str] = None  # the text the raw-state key hashed
-        self.index: Optional[NodeIndex] = None
-        self.taps: Optional[list[Selector]] = None  # a selector for each clickable node, in BFS order
+    tree: ComponentTree  # held, so that the id the entry is filed under is not reused while it lives
+    key: str  # the state key
+    xml: Optional[str]  # the text the raw-state key hashed; None under scene ids
+    index: NodeIndex
+    taps: tuple[Selector, ...]  # a selector for each clickable node, in BFS order
 
 
 @dataclass
@@ -240,11 +237,14 @@ class Explorer:
         self.paths: dict[str, list] = {}
         self.failed_direct: set[str] = set()
         self.launch_methods: dict[str, tuple] = {}
-        self.outcomes: dict[str, dict] = {}
+        self.outcomes: dict[str, dict] = {act.name: {} for act in model.activities}
         # id(tree) -> what was derived from each tree seen so far, up to KEYED_TREES_CAP.
         # A driver may return the same tree object whenever the page state recurs, so
         # each object is keyed, walked and indexed once.
         self._keys: dict[int, _Seen] = {}
+        # resource id, or (class, bounds) without one -> the selector of that node. The states of a
+        # page share its clickables, so each selector is built once per session.
+        self._selectors: dict[object, Selector] = {}
         for caller, callee, event, component in model.seed_atg:
             selector = Selector(resource_id=f"{self.package}:id/{component}")
             self.atg.add_edge(
@@ -268,38 +268,30 @@ class Explorer:
     def _seen(self, tree: ComponentTree) -> _Seen:
         seen = self._keys.get(id(tree))
         if seen is None:
-            seen = self._keys[id(tree)] = _Seen(tree)
+            if self.config.enable_scene_id:
+                key, xml = identity.scene_id(tree, self.package), None
+            else:
+                xml = serialize_tree(tree)
+                key = identity.raw_state_id(xml)
+            index = NodeIndex(tree, self.package)
+            taps = tuple(self._selector(n) for n in index.order if n.clickable)
+            seen = self._keys[id(tree)] = _Seen(tree, key, xml, index, taps)
             if len(self._keys) > KEYED_TREES_CAP:
                 del self._keys[next(iter(self._keys))]
         return seen
 
-    def _keyed(self, tree: ComponentTree) -> _Seen:
-        seen = self._seen(tree)
-        if seen.key is None:
-            if self.config.enable_scene_id:
-                seen.key = identity.scene_id(tree, self.package)
-            else:
-                seen.xml = serialize_tree(tree)
-                seen.key = identity.raw_state_id(seen.xml)
-        return seen
-
-    def _state_key(self, tree: ComponentTree) -> str:
-        return self._keyed(tree).key
+    def _selector(self, node: ComponentNode) -> Selector:
+        key = node.resource_id or (node.widget_class, node.bounds)
+        selector = self._selectors.get(key)
+        if selector is None:
+            selector = self._selectors[key] = _selector_for(node)
+        return selector
 
     def _index(self, tree: ComponentTree) -> NodeIndex:
-        seen = self._seen(tree)
-        if seen.index is None:
-            seen.index = NodeIndex(tree, self.package)
-        return seen.index
-
-    def _taps(self, tree: ComponentTree) -> list[Selector]:
-        seen = self._seen(tree)
-        if seen.taps is None:
-            seen.taps = [_selector_for(n) for n in self._index(tree).order if n.clickable]
-        return seen.taps
+        return self._seen(tree).index
 
     def _record_scene(self, tree: ComponentTree, path: list) -> str:
-        seen = self._keyed(tree)
+        seen = self._seen(tree)
         sid = seen.key
         if sid in self.scenetg.nodes:
             return sid
@@ -386,8 +378,9 @@ class Explorer:
 
     def _explore_act(self, act) -> None:
         if self.config.enable_fuzzing:
+            input_type_of = getattr(self.driver, "input_type_of", None)  # optional in the driver contract
             assignments = fuzz_assignments(
-                self.driver.current_tree(), self.config, self.package, self._input_type_of, self._index
+                self.driver.current_tree(), self.config, self.package, input_type_of, self._index
             )
         else:
             assignments = [[]]
@@ -405,12 +398,8 @@ class Explorer:
                 self._explore_scene(run, depth=0, path=events)
             except (DriverError, SelectorNotFound) as exc:
                 self._record("abort", act.name, outcome=f"driver error: {exc}")
-                self.outcomes.setdefault(act.name, {}).setdefault("notes", []).append(str(exc))
+                self.outcomes[act.name].setdefault("notes", []).append(str(exc))
                 break
-
-    def _input_type_of(self, selector: Selector):
-        lookup = getattr(self.driver, "input_type_of", None)
-        return lookup(selector) if lookup else None
 
     def _explore_scene(self, run: _RunCtx, depth: int, path: list) -> None:
         tree = self.driver.current_tree()
@@ -420,7 +409,7 @@ class Explorer:
             return
         run.expanded.add(sid)
         self._record("expand", activity, sid, outcome=f"run={run.run_id}")
-        for selector in self._taps(tree):
+        for selector in self._seen(tree).taps:
             self.driver.tap(selector)
             ntree = self.driver.current_tree()
             nact = ntree.source_activity
@@ -431,7 +420,7 @@ class Explorer:
                 self._record("tap", activity, sid, selector.describe(), f"activity -> {nact}")
                 self._restore(activity, sid, path)
             else:
-                nsid = self._state_key(ntree)
+                nsid = self._seen(ntree).key
                 if nsid == sid:
                     self._record("tap", activity, sid, selector.describe(), "no scene change")
                     continue
@@ -449,7 +438,7 @@ class Explorer:
             if not self.driver.running:
                 break
             tree = self.driver.current_tree()
-            if tree.source_activity == act_name and self._state_key(tree) == sid:
+            if tree.source_activity == act_name and self._seen(tree).key == sid:
                 return
             self.driver.press_back()
             self._record("back", tree.source_activity, outcome="rollback")
@@ -459,7 +448,7 @@ class Explorer:
             _issue(self.driver, event, selector, value)
             self._record(event.value.lower(), act_name, selector=selector.describe(), outcome="replay")
         tree = self.driver.current_tree()
-        if tree.source_activity != act_name or self._state_key(tree) != sid:
+        if tree.source_activity != act_name or self._seen(tree).key != sid:
             raise DriverError(f"cannot restore scene {sid[:8]} of {act_name}")
 
     # -- top level (the smart dynamic analysis loop) --------------------------
@@ -481,20 +470,20 @@ class Explorer:
                 for act in remaining:
                     if self._try_direct(act):
                         self._explore_act(act)
-                        self.outcomes.setdefault(act.name, {})["outcome"] = "DIRECT"
+                        self.outcomes[act.name]["outcome"] = "DIRECT"
                         continue
                     if not config.enable_indirect:
-                        self.outcomes.setdefault(act.name, {})["outcome"] = "FAILED"
+                        self.outcomes[act.name]["outcome"] = "FAILED"
                         continue
                     chain = self._indirect_launch(act.name)
                     if chain:
                         self.launch_methods[act.name] = ("chain", chain)
                         self._explore_act(act)
-                        entry = self.outcomes.setdefault(act.name, {})
+                        entry = self.outcomes[act.name]
                         entry["outcome"] = "INDIRECT"
                         entry["chain"] = chain
                     else:
-                        entry = self.outcomes.setdefault(act.name, {})
+                        entry = self.outcomes[act.name]
                         entry["attempts"] = entry.get("attempts", 0) + 1
                         next_round.append(act)
                 # Stop rule: re-launch failures only while the ATG kept growing.
@@ -502,14 +491,13 @@ class Explorer:
                     remaining = next_round
                 else:
                     for act in next_round:
-                        self.outcomes.setdefault(act.name, {})["outcome"] = "FAILED"
+                        self.outcomes[act.name]["outcome"] = "FAILED"
                     remaining = []
         except ExplorationTimeout as stop:
             stop_reason = stop.args[0]
             outcome = "dynamic timeout reached" if stop_reason == "time" else "action budget spent"
             self._record("timeout", outcome=outcome + "; partial results")
-        for act in self.model.activities:
-            entry = self.outcomes.setdefault(act.name, {})
+        for entry in self.outcomes.values():
             entry.setdefault("outcome", "FAILED")
             entry.setdefault("attempts", 1)
         wall = time.monotonic() - start
@@ -521,7 +509,7 @@ class Explorer:
             "partial": stop_reason is not None,
             "stop_reason": stop_reason,
             "wall_time_s": round(wall, 6),
-            "outcomes": {act.name: self.outcomes[act.name] for act in self.model.activities},
+            "outcomes": self.outcomes,
             "stats": stats(self.scenetg),
         }
         return ExplorationResult(self.scenetg, self.atg, report, self.trace, self.paths)

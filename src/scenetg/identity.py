@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 
-from .layout import ComponentNode, ComponentTree, bfs_nodes, is_adapter_view  # noqa: F401 (re-exported)
+from .layout import ComponentNode, ComponentTree, bfs_nodes
 
 EMPTY_SCENE_ID = "d41d8cd98f00b204e9800998ecf8427e"  # MD5 of the empty string
 
@@ -24,10 +24,6 @@ SIGNATURE_CACHE_SIZE = 4096
 
 def node_signature(node: ComponentNode) -> str:
     return f"{node.resource_id}|{node.widget_class}|{node.package}"
-
-
-def node_hash(node: ComponentNode) -> str:
-    return hashlib.md5(node_signature(node).encode("utf-8")).hexdigest()
 
 
 @functools.lru_cache(maxsize=SIGNATURE_CACHE_SIZE)

@@ -267,12 +267,3 @@ class NodeIndex:
                 return node
             # The first node with this id fails the selector's other fields; a later one may not.
         return next((n for n in self.order if selector.matches(n)), None)
-
-
-def find_clickable(tree: ComponentTree, target_package: str) -> list[ComponentNode]:
-    return [n for n in bfs_nodes(tree, target_package) if n.clickable]
-
-
-def match_component(tree: ComponentTree, selector: Selector, target_package: str) -> Optional[ComponentNode]:
-    """The first node of `bfs_nodes(tree, target_package)` the selector matches, or None (`NodeIndex.match`)."""
-    return NodeIndex(tree, target_package).match(selector)

@@ -322,6 +322,8 @@ def parse_app_model(doc: dict) -> AppModel:
                 raise SchemaError(f"{where}.required_extras[{k}]: expected [key, type] strings")
             if pair[1] not in ExtraType.__members__:
                 raise SchemaError(f"{where}.required_extras[{k}]: unknown extra type {pair[1]!r}")
+            if any(key == pair[0] for key, _ in extras):  # the launch reads one value per key
+                raise SchemaError(f"{where}.required_extras[{k}]: duplicate extra key {pair[0]!r}")
             extras.append((pair[0], ExtraType[pair[1]]))
         activities[name] = ActivityModel(
             name=name,

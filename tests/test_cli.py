@@ -284,6 +284,15 @@ class TestOtherVerbs:
         assert main(["validate-model", "--app", str(bad)]) == EXIT_USAGE
         assert "model.activities[0].scenes[0].widgets[0].clikable: unknown field" in capsys.readouterr().err
 
+    def test_validate_model_rejects_duplicate_extra_key(self, tmp_path, capsys):
+        # The launch reads one value per key, so the model could never be launched directly.
+        doc = json.loads(benchmark_path("app01.json").read_text())
+        doc["activities"][1]["required_extras"] = [["k", "STRING"], ["k", "NUMBER"]]
+        bad = tmp_path / "dup.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate-model", "--app", str(bad)]) == EXIT_USAGE
+        assert "model.activities[1].required_extras[1]: duplicate extra key 'k'" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_verb(self):

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -80,6 +81,35 @@ class TestFuzzAssignments:
         result = explore(model, driver, ExplorationConfig(enable_scene_id=False))
         assert result.report["stats"]["scenes"] == 2 ** 4  # every assignment ran: raw states tell them apart
         assert driver.asked == [Selector(resource_id=f"{PKG}:id/ed_{t}") for t in ("text", "number", "phone")]
+
+    @pytest.mark.parametrize("has_input_types", [True, False], ids=["with", "without"])
+    def test_driver_without_input_type_of_fuzzes_string_values(self, has_input_types):
+        # input_type_of is optional in the driver contract; without it every EditText gets the STRING form.
+        widgets = [{"id": "ed_count", "class": "android.widget.EditText", "input_type": "number"}]
+        model = parse_app_model({"package": PKG, "activities": [{"name": "MainActivity", "scenes": [{"name": "entry", "widgets": widgets}]}]})
+        driver = _TextRecorder(simulate(model), has_input_types)
+        result = explore(model, driver, ExplorationConfig())
+        assert not result.report["partial"]
+        assert result.report["outcomes"]["MainActivity"] == {"outcome": "DIRECT", "attempts": 1}
+        assert driver.texts and all(re.fullmatch(r"\d+" if has_input_types else "[a-z]{8}", t) for t in driver.texts)
+
+
+class _TextRecorder:
+    """A driver that records every text it sets and, unless told to keep it, has no `input_type_of`."""
+
+    def __init__(self, inner, has_input_types):
+        self._inner = inner
+        self._has_input_types = has_input_types
+        self.texts = []
+
+    def __getattr__(self, name):
+        if name == "input_type_of" and not self._has_input_types:
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    def set_text(self, selector, value):
+        self.texts.append(value)
+        self._inner.set_text(selector, value)
 
 
 class _InputTypeCounter:

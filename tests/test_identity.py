@@ -5,20 +5,23 @@ from scenetg.identity import (
     EMPTY_SCENE_ID,
     SIGNATURE_CACHE_SIZE,
     _signature_hash,
-    is_adapter_view,
-    node_hash,
     node_signature,
     raw_state_id,
     scene_id,
     signature_nodes,
 )
-from scenetg.layout import Bounds
+from scenetg.layout import Bounds, is_adapter_view
 
 # Frozen MD5 vectors (computed independently and pinned).
 MD5_EMPTY = "d41d8cd98f00b204e9800998ecf8427e"
 MD5_ABC = "900150983cd24fb0d6963f7d28e17f72"
 MD5_VIEW_SIG = "b0423b22a1284ac800cbfa58d892f1a1"  # "|android.view.View|com.ex"
 MD5_BTN_SIG = "a4986b509d7b9ecabd917b2cb8ea38ff"  # "btn_ok|android.widget.Button|com.ex"
+
+
+def node_hash(node):
+    """The reference for `scene_id`'s cached per-node digests: MD5 of the signature, hashed afresh."""
+    return hashlib.md5(node_signature(node).encode("utf-8")).hexdigest()
 
 
 def test_md5_reference_vectors():
@@ -33,6 +36,7 @@ def test_node_signature_and_hash_pinned():
     assert node_hash(node) == MD5_VIEW_SIG
     btn = make_node(rid="btn_ok", cls="android.widget.Button", package="com.ex")
     assert node_hash(btn) == MD5_BTN_SIG
+    assert _signature_hash(node_signature(btn)) == MD5_BTN_SIG  # the digest scene_id caches
 
 
 def test_scene_id_of_single_node_pinned():

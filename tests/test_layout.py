@@ -16,11 +16,10 @@ from scenetg.layout import (
     Bounds,
     ComponentNode,
     ComponentTree,
+    NodeIndex,
     Selector,
     _bounds,
     bfs_nodes,
-    find_clickable,
-    match_component,
     parse_hierarchy_dump,
     serialize_tree,
 )
@@ -378,7 +377,8 @@ class TestQueries:
 
     def test_find_clickable_excludes_foreign(self):
         tree = parse_hierarchy_dump(DUMP, "MainActivity")
-        assert [n.resource_id for n in find_clickable(tree, PKG)] == ["com.example.app:id/btn_ok"]
+        clickable = [n.resource_id for n in NodeIndex(tree, PKG).order if n.clickable]
+        assert clickable == ["com.example.app:id/btn_ok"]
 
     def test_selector_fields_and_describe(self):
         node = make_node(rid="x:id/a", cls="android.widget.Button", bounds=Bounds(0, 0, 10, 10))
@@ -395,14 +395,15 @@ class TestQueries:
 
     def test_match_component_first_bfs_hit(self):
         tree = parse_hierarchy_dump(DUMP, "MainActivity")
-        node = match_component(tree, Selector(resource_id="com.example.app:id/lbl"), PKG)
+        index = NodeIndex(tree, PKG)
+        node = index.match(Selector(resource_id="com.example.app:id/lbl"))
         assert node is not None and node.text == "hello"
-        assert match_component(tree, Selector(resource_id="nope"), PKG) is None
+        assert index.match(Selector(resource_id="nope")) is None
         # A duplicate id resolves to its first BFS occurrence: the shallower node, then the earlier sibling.
         deep = make_node(rid="x:id/dup", text="deep")
         kids = [make_node(children=[deep]), make_node(rid="x:id/dup", text="first"), make_node(rid="x:id/dup", text="second")]
         tree = make_tree(make_node(children=kids))
-        assert match_component(tree, Selector(resource_id="x:id/dup"), PKG).text == "first"
+        assert NodeIndex(tree, PKG).match(Selector(resource_id="x:id/dup")).text == "first"
 
     def test_match_component_resolves_ambiguity_silently(self):
         # Several matches are not an error or a warning: the first BFS node wins.
@@ -410,7 +411,7 @@ class TestQueries:
         tree = make_tree(make_node(children=kids))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            node = match_component(tree, Selector(resource_id="x:id/dup"), PKG)
+            node = NodeIndex(tree, PKG).match(Selector(resource_id="x:id/dup"))
         assert node.text == "first"
 
     def test_match_component_skips_foreign_package_nodes(self):
@@ -418,4 +419,4 @@ class TestQueries:
         foreign = make_node(rid=f"{PKG}:id/ok", package="com.android.systemui", text="overlay")
         own = make_node(cls="android.widget.LinearLayout", children=[make_node(rid=f"{PKG}:id/ok", text="app")])
         tree = make_tree(make_node(children=[foreign, own]))
-        assert match_component(tree, Selector(resource_id=f"{PKG}:id/ok"), PKG).text == "app"
+        assert NodeIndex(tree, PKG).match(Selector(resource_id=f"{PKG}:id/ok")).text == "app"

@@ -1,5 +1,5 @@
-"""One matcher: `NodeIndex.match`, `match_component` and the simulator's `_resolve`
-pick the node a plain breadth-first scan of the tree picks, on seeded random trees."""
+"""One matcher: `NodeIndex.match` and the simulator's `_resolve` pick the node
+a plain breadth-first scan of the tree picks, on seeded random trees."""
 
 import random
 from collections import deque
@@ -9,7 +9,7 @@ import pytest
 from conftest import PKG, make_node, make_tree
 from scenetg.errors import SelectorNotFound
 from scenetg.icc import IccMessage
-from scenetg.layout import Bounds, NodeIndex, Selector, bfs_nodes, match_component
+from scenetg.layout import Bounds, NodeIndex, Selector, bfs_nodes
 from scenetg.simulator import parse_app_model, simulate
 
 FOREIGN = "com.android.systemui"
@@ -83,7 +83,6 @@ def test_index_and_match_component_pick_what_a_full_scan_picks():
         for selector in _selectors(rng, nodes):
             want = _reference_match(tree, selector, PKG)
             assert index.match(selector) is want, selector
-            assert match_component(tree, selector, PKG) is want, selector
             hits = [n for n in nodes if selector.matches(n)]
             seen["miss"] += want is None
             seen["tie"] += selector.bounds is not None and selector.resource_id is None and len(hits) > 1

@@ -8,7 +8,7 @@ from conftest import load_benchmark
 from scenetg import benchmark_path, simulator
 from scenetg.errors import DanglingReference, SchemaError, SelectorNotFound
 from scenetg.icc import IccMessage, build_icc
-from scenetg.layout import Selector, match_component, parse_hierarchy_dump, serialize_tree
+from scenetg.layout import NodeIndex, Selector, parse_hierarchy_dump, serialize_tree
 from scenetg.simulator import LaunchReason, load_app_model, parse_app_model, simulate
 
 PKG = "com.fixture.sim"
@@ -297,6 +297,8 @@ BAD_FIELDS = [
     (("activities", 0, "declared"), 0, r"model\.activities\[0\]\.declared"),
     (("activities", 0, "scenes", 1), 5, r"model\.activities\[0\]\.scenes\[1\]"),
     (("activities", 1, "required_extras"), [["k", "FLOAT"]], r"model\.activities\[1\]\.required_extras\[0\]"),
+    (("activities", 1, "required_extras"), [["k", "STRING"], ["k", "NUMBER"]],
+     r"model\.activities\[1\]\.required_extras\[1\]: duplicate extra key 'k'$"),
     (("activities", 1, "name"), "", r"model\.activities\[1\]\.name: must not be empty"),
     (("seed_atg", 0, 2), "SWIPE", r"model\.seed_atg\[0\]\.event"),
     (("activities", 1, "launch_failure"), "OK", r"model\.activities\[1\]\.launch_failure"),
@@ -572,7 +574,7 @@ class TestSession:
         driver = simulate(parse_app_model(_mutated(W + (0, "children"), [nested])))
         assert driver.launch_activity(IccMessage("MainActivity")).success
         tree = driver.current_tree()
-        picked = match_component(tree, sel("sw_dark"), PKG)
+        picked = NodeIndex(tree, PKG).match(sel("sw_dark"))
         assert picked is not next(n for n in tree.root.iter_subtree() if n.resource_id == f"{PKG}:id/sw_dark")
         driver.tap(sel("sw_dark"))
         assert [n.bounds for n in driver.current_tree().root.iter_subtree() if n.checked] == [picked.bounds]

@@ -1,6 +1,6 @@
 """The work an explore does, counted rather than timed: renders per distinct page
-state, and walks (`bfs_nodes` calls) per tree object on each side of the driver
-contract."""
+state, walks (`bfs_nodes` calls) per tree object on each side of the driver
+contract, and tap selectors built per session."""
 
 import sys
 from collections import Counter
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scenetg import ExplorationConfig, benchmark_path, explore, identity, layout
+from scenetg import ExplorationConfig, benchmark_path, engine, explore, identity, layout
 from scenetg.simulator import SimulatorSession, load_app_model, parse_app_model, simulate
 
 PKG = "com.fixture.work"
@@ -104,3 +104,23 @@ def test_each_tree_is_walked_at_most_once_per_side_and_collapse_mode(label, monk
     assert {side for side, _, _ in walks} <= {"scenetg.simulator", "scenetg.engine"}
     twice = [key for key, count in walks.items() if count > 1]
     assert twice == []
+
+
+def test_each_tap_selector_is_built_once_per_session(monkeypatch):
+    built = {}  # model file -> the key of every tap selector the explorer built
+    selector_for = engine._selector_for
+
+    def counted(node):
+        if sys._getframe(1).f_code.co_name == "_selector":  # the explorer's tap list, not fuzzing
+            built[name].append(node.resource_id or (node.widget_class, node.bounds))
+        return selector_for(node)
+
+    monkeypatch.setattr(engine, "_selector_for", counted)
+    for path in sorted(Path(str(benchmark_path("app01.json"))).parent.glob("*.json")):
+        name = path.name
+        built[name] = []
+        model = load_app_model(path)
+        explore(model, simulate(model), ExplorationConfig())
+        assert len(built[name]) == len(set(built[name])), name
+    # palette's 20 colour buttons recur on each of the 21 states of its one scene, each state a new tree.
+    assert len(built["palette.json"]) == 20
