@@ -149,7 +149,14 @@ class RunSnapshot:
                 if not (isinstance(step, list) and len(step) == 2 and all(isinstance(x, str) for x in step)):
                     raise CorruptRun(f"{paths_file}: {sid}[{i}]: expected an [event, component] pair of strings")
         layouts = {}
-        for scene in doc["scenes"]:
+        for i, scene in enumerate(doc["scenes"]):
+            # One plain file name under layouts/, as the writer records it; a
+            # ref out of the run could read another run's layout, or a device.
+            folder, _, name = scene["layout_ref"].partition("/")
+            if folder != "layouts" or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+                raise CorruptRun(
+                    f"{directory / 'scenetg.json'}: scenes[{i}].layout_ref: must name a file under layouts/"
+                )
             layout = directory / scene["layout_ref"]
             try:
                 layouts[scene["id"]] = layout.read_text(encoding="utf-8")

@@ -140,8 +140,88 @@ def _node_from_element(elem: ET.Element, position: int) -> ComponentNode:
     )
 
 
+# What `serialize_tree` writes around its node lines, one to a line;
+# `_parse_written` recognizes that form and no other.
+_WRITTEN_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<hierarchy>\n'
+_WRITTEN_TAIL = "\n</hierarchy>\n"
+# A string value XML keeps as it is: no quote, `&` or `<`, no control character
+# (XML rewrites tab, newline and CR, and rejects the rest), no surrogate and
+# neither U+FFFE nor U+FFFF.
+_WRITTEN_VALUE = r'"([^"&<\x00-\x1f\ud800-\udfff\ufffe\uffff]*)"'
+_WRITTEN_FLAG = '"(true|false)"'
+_WRITTEN_LINE = re.compile(
+    " *(?:</node>|<node"
+    ' index="([0-9]+)"'
+    f" class={_WRITTEN_VALUE} package={_WRITTEN_VALUE} resource-id={_WRITTEN_VALUE} text={_WRITTEN_VALUE}"
+    f" clickable={_WRITTEN_FLAG} checkable={_WRITTEN_FLAG} checked={_WRITTEN_FLAG}"
+    f" enabled={_WRITTEN_FLAG} scrollable={_WRITTEN_FLAG} long-clickable={_WRITTEN_FLAG}"
+    r' bounds="(\[-?[0-9]+,-?[0-9]+\]\[-?[0-9]+,-?[0-9]+\])"( /)?>)'
+).fullmatch
+# Deeper nesting goes to the general parse. The bound is far below the ~500
+# levels where that parse's recursion stops, so the fast path builds no tree
+# the general parse would refuse, and `diff_trees` never recurses deeper.
+_WRITTEN_MAX_DEPTH = 100
+
+
+def _parse_written(text: str, source_activity: str) -> Optional[ComponentTree]:
+    """The tree of a dump in exactly the form `serialize_tree` writes, or None for any other text.
+
+    None hands the text to the general parse, which builds the same tree or
+    reports the error; so this never raises.
+    """
+    if not (text.startswith(_WRITTEN_HEAD) and text.endswith(_WRITTEN_TAIL)):
+        return None
+    roots: list[ComponentNode] = []
+    stack = [roots]  # the children list of each open node, under the roots
+    try:
+        for line in text[len(_WRITTEN_HEAD) : -len(_WRITTEN_TAIL)].split("\n"):
+            m = _WRITTEN_LINE(line)
+            if m is None:
+                return None
+            index, cls, pkg, rid, txt, clk, chk, chd, ena, scr, lng, bounds, leaf = m.groups()
+            if index is None:  # </node>
+                if len(stack) == 1:
+                    return None
+                stack.pop()
+                continue
+            if len(stack) > _WRITTEN_MAX_DEPTH:
+                return None
+            kids: list[ComponentNode] = []
+            stack[-1].append(
+                ComponentNode(  # positional, in field order
+                    cls,
+                    pkg,
+                    rid,
+                    txt,
+                    _bounds(bounds),
+                    clk == "true",
+                    chk == "true",
+                    chd == "true",
+                    ena == "true",
+                    scr == "true",
+                    lng == "true",
+                    int(index),
+                    kids,
+                )
+            )
+            if leaf is None:
+                stack.append(kids)
+    except (ParseError, ValueError):  # degenerate bounds; an index past int's digit limit
+        return None
+    if len(stack) != 1 or len(roots) != 1:
+        return None
+    return ComponentTree(root=roots[0], source_activity=source_activity)
+
+
 def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
-    """Parse a hierarchy dump into a ComponentTree, preserving nesting and sibling order."""
+    """Parse a hierarchy dump into a ComponentTree, preserving nesting and sibling order.
+
+    Text in exactly the form `serialize_tree` writes takes a line-pattern fast
+    path; any other text is parsed by ElementTree.
+    """
+    tree = _parse_written(text, source_activity)
+    if tree is not None:
+        return tree
     try:
         root_elem = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -197,10 +277,9 @@ def _render_node(node: ComponentNode, out: list, depth: int) -> None:
 
 def serialize_tree(tree: ComponentTree) -> str:
     """Render a ComponentTree back into dump text (inverse of parse on the read attributes)."""
-    out = ['<?xml version="1.0" encoding="UTF-8"?>', "<hierarchy>"]
+    out: list[str] = []
     _render_node(tree.root, out, 1)
-    out.append("</hierarchy>")
-    return "\n".join(out) + "\n"
+    return _WRITTEN_HEAD + "\n".join(out) + _WRITTEN_TAIL
 
 
 # Standard adapter-backed widgets, matched by class simple-name suffix so that

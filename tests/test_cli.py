@@ -9,6 +9,7 @@ from scenetg.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TIMEOUT, EXIT_USAGE, main
 from scenetg.diff import RunSnapshot, diff_graphs
 from scenetg.errors import CorruptRun, ParseError, SchemaError
 from scenetg.simulator import load_app_model
+from test_layout import _written_chain
 
 
 def bench(name):
@@ -219,6 +220,47 @@ class TestOtherVerbs:
         assert str(layout) in capsys.readouterr().err
         with pytest.raises(ParseError, match="nested too deeply"):
             diff_graphs(RunSnapshot.load(explored), RunSnapshot.load(bad))
+
+    def test_diff_deeply_nested_written_layout_is_parse_error_naming_file(self, explored, tmp_path, capsys):
+        # In the writer's own form, so the fast path sees it first and hands it on.
+        bad = tmp_path / "bad"
+        shutil.copytree(explored, bad)
+        layout = sorted((bad / "layouts").glob("*.xml"))[0]
+        layout.write_text(_written_chain(1200), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["diff", "--old", str(explored), "--new", str(bad), "--out", str(tmp_path / "d.json")])
+        assert code == EXIT_RUNTIME
+        assert f"{layout}: hierarchy nested too deeply to parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ref",
+        [
+            lambda old, name: f"../v2/layouts/{name}",
+            lambda old, name: f"layouts/../../v2/layouts/{name}",
+            lambda old, name: str(old.parent / "v2" / "layouts" / name),
+            lambda old, name: f"layouts/v2/{name}",
+            lambda old, name: "layouts/..",
+            lambda old, name: f"layouts/..\\..\\v2\\layouts\\{name}",
+        ],
+        ids=["parent", "dotdot-inside", "absolute", "nested", "dotdot", "backslash"],
+    )
+    def test_diff_layout_ref_outside_layouts_is_corrupt_run(self, tmp_path, capsys, ref):
+        # The first four name a file that exists and holds the other version's layout.
+        _, old = explore_to(tmp_path / "a", "nested_menu_v1.json")
+        _, new = explore_to(tmp_path / "b", "nested_menu_v2.json")
+        name = sorted(p.name for p in (new / "layouts").glob("*.xml"))[0]
+        shutil.copytree(new / "layouts", old / "layouts" / "v2")
+        shutil.copytree(new, old.parent / "v2")
+        doc = json.loads((old / "scenetg.json").read_text())
+        doc["scenes"][0]["layout_ref"] = ref(old, name)
+        (old / "scenetg.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["diff", "--old", str(old), "--new", str(new), "--out", str(tmp_path / "d.json")])
+        assert code == EXIT_RUNTIME
+        message = f"{old / 'scenetg.json'}: scenes[0].layout_ref: must name a file under layouts/"
+        assert message in capsys.readouterr().err
+        with pytest.raises(CorruptRun, match=re.escape(message)):
+            RunSnapshot.load(old)
 
     def test_diff_deeply_nested_paths_json_is_corrupt_run(self, explored, tmp_path, capsys):
         bad = tmp_path / "bad"

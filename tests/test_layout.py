@@ -9,6 +9,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 
 from conftest import PKG, make_node, make_tree
+from test_golden import ABLATIONS
 from scenetg import benchmark_path
 from scenetg.errors import MissingAttribute, ParseError, SceneTGError
 from scenetg.layout import (
@@ -19,6 +20,7 @@ from scenetg.layout import (
     NodeIndex,
     Selector,
     _bounds,
+    _parse_written,
     bfs_nodes,
     parse_hierarchy_dump,
     serialize_tree,
@@ -359,6 +361,151 @@ class TestBoundsCache:
                 parse_hierarchy_dump('<node class="c" package="p" bounds="[10,0][0,5]" />', "A")
         assert _bounds.cache_info().misses == 2
         assert _bounds.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# The writer-form fast path: `_parse_written` builds the reference's tree or
+# returns None, and `parse_hierarchy_dump` then gives the reference's outcome.
+
+# Characters XML keeps as they are inside a double-quoted value...
+KEPT = ["a", "Z", "0", " ", "'", ">", "\x7f", "\x85", "é", "\u2028", "\ue000", "\ufffd", "\U0001f600",
+        "\U0001fffe", "]]>"]
+# ...and ones it rewrites or rejects there.
+CHANGED = ['"', "&", "<", "\t", "\x01", "\ud800", "\ufffe", "\uffff"]
+EDITS = ("cut-short", "deleted", "inserted", "swapped", "crlf", "bom", "amp", "tab", "second-root", "extra-close",
+         "trailing", "unclosed", "degenerate", "degenerate-cut")
+
+
+def _random_tree(rng, alphabet):
+    def word():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(4)))
+
+    def node(depth):
+        kids = [node(depth + 1) for _ in range(rng.randrange(3 if depth < 3 else 1))]
+        left, top = rng.randrange(50), rng.randrange(50)
+        bounds = Bounds(left, top, left + rng.randrange(50), top + rng.randrange(50))
+        flags = [rng.random() < 0.5 for _ in range(6)]
+        return ComponentNode(word(), word(), word(), word(), bounds, *flags, rng.randrange(12), kids)
+
+    return make_tree(node(0), "A")
+
+
+def _raw_written(tree):
+    """`serialize_tree`'s text with every string value put between double quotes as it is, never escaped."""
+    values = iter([s for n in tree.root.iter_subtree() for s in (n.widget_class, n.package, n.resource_id, n.text)])
+    blank = copy.deepcopy(tree)
+    for node in blank.root.iter_subtree():
+        node.widget_class = node.package = node.resource_id = node.text = "\0"
+    return re.sub("\0", lambda _: next(values), serialize_tree(blank))
+
+
+def _written_chain(depth):
+    """A writer-form layout that is one chain of `depth` nodes, built without recursion."""
+    attrs = ('class="c" package="p" resource-id="" text="" clickable="false" checkable="false" checked="false" '
+             'enabled="true" scrollable="false" long-clickable="false" bounds="[0,0][1,1]"')
+    opens = [f'{"  " * d}<node index="0" {attrs}>' for d in range(1, depth)]
+    leaf = f'{"  " * depth}<node index="0" {attrs} />'
+    closes = [f'{"  " * d}</node>' for d in range(depth - 1, 0, -1)]
+    return "\n".join(['<?xml version="1.0" encoding="UTF-8"?>', "<hierarchy>", *opens, leaf, *closes, "</hierarchy>\n"])
+
+
+def _edits(rng, text):
+    """(kind, text) for each of EDITS, applied at random places of one canonical layout."""
+    lines = text.split("\n")
+    first = 2  # the root's line
+    at = rng.randrange(first, len(lines) - 2)  # a node line
+    line = lines[at]
+    if line.strip() == "</node>":
+        line = lines[first]
+    a, b = rng.sample(re.findall(r' [a-z-]+="[^"]*"', line), 2)
+    swapped = line.replace(a, "\0").replace(b, a).replace("\0", b)
+    value = rng.choice(re.findall(r' (?:class|package|resource-id|text)="[^"]*', line))
+    root = lines[first] if lines[first].endswith(" />") else lines[first][:-1] + " />"
+    degenerate = re.sub(r'bounds="[^"]*"', 'bounds="[10,0][0,5]"', text, count=1)
+    k = rng.randrange(len(text))
+    yield "cut-short", text[:k]
+    yield "deleted", text[:k] + text[k + 1 :]
+    yield "inserted", text[:k] + rng.choice('a <>"&/\n=\t') + text[k:]
+    yield "swapped", text.replace(line, swapped, 1)
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "bom", "\ufeff" + text
+    yield "amp", text.replace(value, value + "&amp;", 1)
+    yield "tab", text.replace(value, value + "\t", 1)
+    yield "second-root", "\n".join(lines[:-2] + [root] + lines[-2:])
+    yield "extra-close", "\n".join(lines[:-2] + ["</node>", root] + lines[-2:])
+    yield "trailing", text + rng.choice(["x", "<!-- c -->", " ", "\n"])
+    yield "unclosed", "\n".join(line for line in lines if line.strip() != "</node>" or rng.random() < 0.7)
+    yield "degenerate", degenerate
+    # Cut short after the bad bounds, before the root closes, and given the
+    # writer's last line back: ET's error must win over the bounds error.
+    k = rng.randrange(degenerate.index("[10,0][0,5]") + 12, degenerate.rindex("</node>"))
+    yield "degenerate-cut", degenerate[:k] + "\n</hierarchy>\n"
+
+
+class TestWrittenFastPath:
+    def test_random_trees_parse_as_the_reference_does_or_hand_off(self):
+        rng = random.Random(17)
+        taken = handed_off = 0
+        for alphabet in (KEPT, KEPT + CHANGED):
+            for _ in range(1500):
+                tree = _random_tree(rng, alphabet)
+                for text in (serialize_tree(tree), _raw_written(tree)):
+                    fast = _parse_written(text, "A")
+                    if fast is None:
+                        handed_off += 1
+                    else:
+                        taken += 1
+                        assert fast == _reference_parse(text, "A"), text
+        assert taken > 1000 and handed_off > 1000
+
+    def test_edited_bundled_layouts_parse_as_the_reference_does(self, runs):
+        rng = random.Random(23)
+        fast_path = {}  # edit kind -> whether its cases took the fast path
+        for text in _bundled_layouts(runs):
+            for kind, case in _edits(rng, text):
+                got = _outcome(parse_hierarchy_dump, case)
+                assert got == _outcome(_reference_parse, case), (kind, case)
+                if kind == "degenerate-cut":
+                    assert got[1].startswith("malformed hierarchy dump"), got
+                fast_path.setdefault(kind, set()).add(_parse_written(case, "A") is not None)
+        assert sorted(fast_path) == sorted(EDITS)
+        # Every edit handed off somewhere, and some edits kept the writer's form.
+        assert all(False in seen for seen in fast_path.values())
+        assert any(True in seen for seen in fast_path.values())
+
+    def test_depth_bound(self):
+        chain = None
+        for _ in range(100):
+            chain = make_node(cls="c", package="p", bounds=Bounds(0, 0, 1, 1), enabled=True, children=[chain] if chain else [])
+        at_bound = serialize_tree(make_tree(chain))
+        assert at_bound == _written_chain(100)
+        assert _parse_written(at_bound, "A") == _reference_parse(at_bound, "A")
+        past_bound = _written_chain(101)
+        assert _parse_written(past_bound, "A") is None
+        assert parse_hierarchy_dump(past_bound, "A") == _reference_parse(past_bound, "A")
+        with pytest.raises(ParseError, match="^hierarchy nested too deeply to parse$"):
+            parse_hierarchy_dump(_written_chain(1200), "A")
+
+
+class TestWriterReaderLock:
+    def test_every_bundled_layout_takes_the_fast_path(self, runs):
+        # A change to `serialize_tree`'s form (attribute order, quoting) that
+        # would send every stored layout to the general parse fails here.
+        count = 0
+        for cfg in [{}] + [{flag: False} for flag in ABLATIONS]:
+            for name in BUNDLED:
+                _, out, _ = runs.run(name, **cfg)
+                for path in sorted((out / "layouts").glob("*.xml")):
+                    assert _parse_written(path.read_text(encoding="utf-8"), "A") is not None, (cfg, path.name)
+                    count += 1
+        assert count == 1504
+
+    @pytest.mark.parametrize("value", ["a&b", 'say "hi"'])
+    def test_value_that_needs_escaping_round_trips_through_the_general_parse(self, value):
+        tree = make_tree(make_node(cls="android.widget.FrameLayout", children=[make_node(rid=value, text=value)]), "A")
+        text = serialize_tree(tree)
+        assert _parse_written(text, "A") is None
+        assert parse_hierarchy_dump(text, "A") == tree
 
 
 class TestQueries:
