@@ -373,7 +373,7 @@ KEPT = ["a", "Z", "0", " ", "'", ">", "\x7f", "\x85", "é", "\u2028", "\ue000", 
 # ...and ones it rewrites or rejects there.
 CHANGED = ['"', "&", "<", "\t", "\x01", "\ud800", "\ufffe", "\uffff"]
 EDITS = ("cut-short", "deleted", "inserted", "swapped", "crlf", "bom", "amp", "tab", "second-root", "extra-close",
-         "trailing", "unclosed", "degenerate", "degenerate-cut")
+         "trailing", "unclosed", "long-index", "degenerate", "degenerate-cut")
 
 
 def _random_tree(rng, alphabet):
@@ -434,7 +434,8 @@ def _edits(rng, text):
     yield "second-root", "\n".join(lines[:-2] + [root] + lines[-2:])
     yield "extra-close", "\n".join(lines[:-2] + ["</node>", root] + lines[-2:])
     yield "trailing", text + rng.choice(["x", "<!-- c -->", " ", "\n"])
-    yield "unclosed", "\n".join(line for line in lines if line.strip() != "</node>" or rng.random() < 0.7)
+    yield "unclosed", "\n".join(x for x in lines if x.strip() != "</node>" or rng.random() < 0.7)
+    yield "long-index", re.sub(r'index="[0-9]*"', f'index="{"9" * 5000}"', text, count=1)  # past int()'s digit limit
     yield "degenerate", degenerate
     # Cut short after the bad bounds, before the root closes, and given the
     # writer's last line back: ET's error must win over the bounds error.
@@ -460,7 +461,7 @@ class TestWrittenFastPath:
 
     def test_edited_bundled_layouts_parse_as_the_reference_does(self, runs):
         rng = random.Random(23)
-        fast_path = {}  # edit kind -> whether its cases took the fast path
+        fast_path = {}  # edit kind -> the fast-path outcomes (taken or not) of its cases
         for text in _bundled_layouts(runs):
             for kind, case in _edits(rng, text):
                 got = _outcome(parse_hierarchy_dump, case)
