@@ -68,11 +68,6 @@ def _selector_for(node: ComponentNode) -> Selector:
     return Selector(widget_class=node.widget_class, bounds=node.bounds)
 
 
-def _indexer(target_package: str) -> Callable[[ComponentTree], NodeIndex]:
-    """A fresh NodeIndex of each tree it is given: for callers that hold no index of their own."""
-    return functools.partial(NodeIndex, target_package=target_package)
-
-
 def fuzz_assignments(
     tree: ComponentTree,
     config: ExplorationConfig,
@@ -90,7 +85,7 @@ def fuzz_assignments(
     default the tree is indexed anew.
     """
     pairs = []  # the (off, on) steps of each fuzzed component
-    for node in (index_of or _indexer(target_package))(tree).order:
+    for node in (index_of(tree) if index_of else NodeIndex(tree, target_package)).order:
         event = non_transitive_kind(node.widget_class)
         if event is None:
             continue
@@ -126,7 +121,7 @@ def apply_assignment(
     entries never abort the rest of the assignment. `index_of` gives a tree's
     NodeIndex; by default each page is indexed anew.
     """
-    index_of = index_of or _indexer(target_package)
+    index_of = index_of or functools.partial(NodeIndex, target_package=target_package)
     events = []
     missing = []
     for step in assignment:
@@ -220,21 +215,22 @@ class ExplorationResult:
     report: dict
     trace: list[dict]
     paths: dict[str, list]
+    layouts: dict[str, str]  # scene id -> layout text, in discovery order; write_outputs writes each
 
 
 class Explorer:
     """One exploration session over one driver; strictly sequential."""
 
-    def __init__(self, model, driver, config: ExplorationConfig, out_dir=None):
+    def __init__(self, model, driver, config: ExplorationConfig):
         self.model = model
         self.driver = _BudgetedDriver(driver, config.max_actions)
         self.config = config
-        self.out_dir = Path(out_dir) if out_dir else None
         self.package = model.package
         self.scenetg = SceneGraph()
         self.atg = ActivityGraph()
         self.trace: list[dict] = []
         self.paths: dict[str, list] = {}
+        self.layouts: dict[str, str] = {}
         self.failed_direct: set[str] = set()
         self.launch_methods: dict[str, tuple] = {}
         self.outcomes: dict[str, dict] = {act.name: {} for act in model.activities}
@@ -295,13 +291,8 @@ class Explorer:
         sid = seen.key
         if sid in self.scenetg.nodes:
             return sid
-        layout_ref = f"layouts/{sid}.xml"
-        if self.out_dir:
-            # Under scene ids the key serialised nothing. `explore` made the directory.
-            xml = seen.xml if seen.xml is not None else serialize_tree(tree)
-            (self.out_dir / layout_ref).write_text(xml, encoding="utf-8")
-        shot = self.driver.screenshot_ref()
-        self.scenetg.add_node(sid, tree.source_activity, layout_ref, shot)
+        self.scenetg.add_node(sid, tree.source_activity, f"layouts/{sid}.xml", self.driver.screenshot_ref())
+        self.layouts[sid] = seen.xml if seen.xml is not None else serialize_tree(tree)
         self.paths[sid] = [[event.value, selector.describe()] for event, selector, _ in path]
         self._record("discover", tree.source_activity, sid, outcome="new scene")
         return sid
@@ -455,8 +446,6 @@ class Explorer:
 
     def explore(self) -> ExplorationResult:
         config = self.config
-        if self.out_dir:
-            (self.out_dir / "layouts").mkdir(parents=True, exist_ok=True)
         start = time.monotonic()
         self.driver.deadline = start + config.dynamic_timeout
         remaining = list(self.model.activities)
@@ -512,11 +501,13 @@ class Explorer:
             "outcomes": self.outcomes,
             "stats": stats(self.scenetg),
         }
-        return ExplorationResult(self.scenetg, self.atg, report, self.trace, self.paths)
+        return ExplorationResult(self.scenetg, self.atg, report, self.trace, self.paths, self.layouts)
 
 
 def explore(model, driver, config: ExplorationConfig, out_dir=None) -> ExplorationResult:
-    return Explorer(model, driver, config, out_dir=out_dir).explore()
+    """Explore in memory; `write_outputs` writes the run. `out_dir` is ignored: the
+    benchmark's workloads and the acceptance tests, both kept fixed, still pass it."""
+    return Explorer(model, driver, config).explore()
 
 
 def _trace_line(record: dict) -> str:
@@ -529,7 +520,7 @@ def _trace_line(record: dict) -> str:
 
 
 def write_outputs(result: ExplorationResult, out_dir, package: str) -> None:
-    """Write the full explore artifact set (layout files are written during the run).
+    """Write the full explore artifact set, each layout to the `layout_ref` scenetg.json records.
 
     scenetg.dot and atg.json are rendered from the scenetg.json document, the
     same input `scenetg export` reads back. trace.log has one JSON object per
@@ -539,6 +530,8 @@ def write_outputs(result: ExplorationResult, out_dir, package: str) -> None:
 
     out = Path(out_dir)
     (out / "layouts").mkdir(parents=True, exist_ok=True)
+    for sid, node in result.scenetg.nodes.items():
+        (out / node.layout_ref).write_text(result.layouts[sid], encoding="utf-8")
     doc = scenetg_document(result.scenetg, result.atg, package)
     (out / "scenetg.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     (out / "scenetg.dot").write_text(export_dot(doc), encoding="utf-8")

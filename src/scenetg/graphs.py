@@ -210,10 +210,7 @@ def export_dot(doc: dict) -> str:
     for scene in doc["scenes"]:
         sid = scene["id"]
         lines.append(f'  "{_dot(sid)}" [label="{_dot(sid[:8])}\\n{_dot(scene["activity"])}"];')
-    known = {scene["id"] for scene in doc["scenes"]}
     for edge in doc["scene_edges"]:
-        if edge["src"] not in known or edge["dst"] not in known:
-            raise MissingEdge(f"edge endpoints must exist as scenes: {edge['src']} -> {edge['dst']}")
         label = _dot(f"{edge['event']}/{edge['component']}")
         lines.append(f'  "{_dot(edge["src"])}" -> "{_dot(edge["dst"])}" [label="{label}"];')
     lines.append("}")
@@ -231,8 +228,11 @@ _ENTRY_FIELDS = {
 def read_json(path: Path) -> dict:
     """A stored run's JSON file, whose top level must be an object; CorruptRun otherwise."""
     try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        text = Path(path).read_text(encoding="utf-8")
+        value = json.loads(text)
+        if "\\ud" in text or "\\uD" in text:  # JSON lets a surrogate escape stand alone; UTF-8 cannot encode that
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except ValueError as exc:  # malformed JSON, text that is not UTF-8, or a lone surrogate
         raise CorruptRun(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise CorruptRun(f"{path}: invalid JSON: nested too deeply") from None
@@ -252,4 +252,10 @@ def read_run_document(directory) -> dict:
         for i, entry in enumerate(doc[key]):
             if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in fields):
                 raise CorruptRun(f"{path}: {key}[{i}]: needs string fields {', '.join(fields)}")
+    known = {scene["id"] for scene in doc["scenes"]}
+    for i, edge in enumerate(doc["scene_edges"]):
+        if edge["src"] not in known or edge["dst"] not in known:
+            raise CorruptRun(
+                f"{path}: scene_edges[{i}]: edge endpoints must exist as scenes: {edge['src']} -> {edge['dst']}"
+            )
     return doc

@@ -224,8 +224,8 @@ def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
         return tree
     try:
         root_elem = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
+    except (ET.ParseError, UnicodeEncodeError) as exc:  # the latter for a lone surrogate: ET encodes text first
+        line, column = getattr(exc, "position", None) or (None, None)
         raise ParseError(f"malformed hierarchy dump: {exc}", line=line, column=column) from exc
     if root_elem.tag == "hierarchy":
         node_elems = [c for c in root_elem if c.tag == "node"]

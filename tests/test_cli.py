@@ -158,6 +158,8 @@ class TestOtherVerbs:
             "no-stats": json.dumps({k: v for k, v in good.items() if k != "stats"}),
             "no-scenes": json.dumps({k: v for k, v in good.items() if k != "scenes"}),
             "scene-without-layout": json.dumps(dict(good, scenes=[{"id": "x", "activity": "A"}])),
+            "dangling-edge": json.dumps(dangling),
+            "lone-surrogate": json.dumps(dict(good, scenes=[dict(s, activity="A\ud800") for s in good["scenes"]])),
         }
         for name, text in corruptions.items():
             out = tmp_path / name

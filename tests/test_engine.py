@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import PKG, load_benchmark, make_node, make_tree
-from scenetg import engine, identity
+from scenetg import benchmark_path, engine, identity
+from scenetg.cli import EXIT_OK, main
 from scenetg.engine import (
     ExplorationConfig,
     apply_assignment,
@@ -358,7 +359,7 @@ class TestExploration:
         for tag in ("r1", "r2"):
             model = load_benchmark("app04.json")
             out = tmp_path / tag
-            result = explore(model, simulate(model), ExplorationConfig(rng_seed=5), out_dir=out)
+            result = explore(model, simulate(model), ExplorationConfig(rng_seed=5))
             write_outputs(result, out, model.package)
             outs.append(out)
         for fname in ("scenetg.json", "trace.log", "paths.json", "atg.json", "scenetg.dot"):
@@ -374,6 +375,27 @@ class TestExploration:
         assert {s["id"] for s in doc["scenes"]} == {p.stem for p in layouts}
         paths = json.loads((out / "paths.json").read_text())
         assert set(paths) == {s["id"] for s in doc["scenes"]}
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in benchmark_path("").iterdir() if p.name.endswith(".json")))
+    def test_explore_writes_nothing(self, name, tmp_path):
+        # `out_dir` is accepted and ignored; write_outputs is the one writer of a run.
+        model = load_benchmark(name)
+        explore(model, simulate(model), ExplorationConfig(), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pair", ["drawer", "nested_menu", "spinner"])
+    def test_written_runs_are_complete_and_diff(self, pair, tmp_path, capsys):
+        outs = []
+        for version in ("v1", "v2"):
+            model = load_benchmark(f"{pair}_{version}.json")
+            out = tmp_path / version
+            write_outputs(explore(model, simulate(model), ExplorationConfig()), out, model.package)
+            doc = json.loads((out / "scenetg.json").read_text(encoding="utf-8"))
+            written = {p.relative_to(out).as_posix() for p in (out / "layouts").iterdir()}
+            assert {scene["layout_ref"] for scene in doc["scenes"]} == written
+            outs.append(out)
+        argv = ["diff", "--old", str(outs[0]), "--new", str(outs[1]), "--out", str(tmp_path / "d.json")]
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
 
     def test_trace_records_launches_and_taps(self, runs):
         result, _, _ = runs.run("stoprule.json")
@@ -403,7 +425,8 @@ class TestExploration:
     def test_raw_state_key_serialises_each_page_once(self, name, monkeypatch, tmp_path):
         seen = _spy(monkeypatch, engine, "serialize_tree")
         model = load_benchmark(name)
-        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False), out_dir=tmp_path)
+        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False))
+        write_outputs(result, tmp_path, model.package)
         assert len(list((tmp_path / "layouts").glob("*.xml"))) == result.report["stats"]["scenes"]
         assert seen and len({id(tree) for tree in seen}) == len(seen)
 
@@ -440,11 +463,11 @@ class TestKeyMemo:
     def test_copied_trees_give_the_same_artifacts(self, name, scene_ids, cap, monkeypatch, tmp_path):
         config = ExplorationConfig(enable_scene_id=scene_ids)
         model = load_benchmark(name)
-        plain = explore(model, simulate(model), config, out_dir=tmp_path / "plain")
+        plain = explore(model, simulate(model), config)
         write_outputs(plain, tmp_path / "plain", model.package)
         monkeypatch.setattr(engine, "KEYED_TREES_CAP", cap)
         driver = _CopyingDriver(simulate(model))
-        explorer = driver.explorer = engine.Explorer(model, driver, config, out_dir=tmp_path / "copied")
+        explorer = driver.explorer = engine.Explorer(model, driver, config)
         write_outputs(explorer.explore(), tmp_path / "copied", model.package)
         assert _explored_bytes(tmp_path / "copied") == _explored_bytes(tmp_path / "plain")
         assert 0 < driver.most_keyed <= cap and len(explorer._keys) <= cap
@@ -455,7 +478,7 @@ def test_partial_runs_are_byte_identical(tmp_path):
     for tag in ("one", "two"):
         model = load_benchmark("palette.json")
         out = tmp_path / tag
-        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False, max_actions=700), out_dir=out)
+        result = explore(model, simulate(model), ExplorationConfig(enable_scene_id=False, max_actions=700))
         write_outputs(result, out, model.package)
         assert result.report["partial"]
         outs.append(out)

@@ -89,6 +89,16 @@ class TestParse:
             parse_hierarchy_dump("<hierarchy><node class='c'", "A")
         assert exc.value.line is not None
 
+    @pytest.mark.parametrize(
+        "dump",
+        ['<node class="a\ud800" package="p"/>', '<hierarchy><node class="a\ud800" package="p"/></hierarchy>'],
+        ids=["bare", "hierarchy"],
+    )
+    def test_lone_surrogate_is_parse_error(self, dump):
+        # ElementTree encodes the text to UTF-8 before it parses, which a lone surrogate fails.
+        with pytest.raises(ParseError, match="^malformed hierarchy dump: "):
+            parse_hierarchy_dump(dump, "A")
+
     def test_hierarchy_needs_exactly_one_root_node(self):
         two = '<hierarchy><node class="c" package="p"/><node class="c" package="p"/></hierarchy>'
         with pytest.raises(ParseError):
