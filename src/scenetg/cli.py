@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .diff import RunSnapshot, diff_graphs
 from .engine import ExplorationConfig, explore, write_outputs
-from .errors import SceneTGError
+from .errors import DanglingReference, SceneTGError, SchemaError
 from .graphs import export_dot, read_run_document
 from .simulator import load_app_model, simulate
 
@@ -73,11 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_explore(args) -> int:
-    try:
-        model = load_app_model(args.app)
-    except (OSError, SceneTGError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    model = load_app_model(args.app)
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         config = ExplorationConfig(
@@ -124,11 +120,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        model = load_app_model(args.app)
-    except (OSError, SceneTGError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    model = load_app_model(args.app)
     print(f"ok: {model.package} ({len(model.activities)} activities)")
     return EXIT_OK
 
@@ -151,7 +143,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.verb](args)
-    except CliError as exc:
+    except (CliError, SchemaError, DanglingReference) as exc:  # a bad command line or app model
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SceneTGError as exc:

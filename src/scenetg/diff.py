@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import CorruptRun, SceneTGError
-from .graphs import read_json, read_run_document
+from .graphs import read_json, read_run_document, read_text
 from .layout import ComponentNode, ComponentTree, children, parse_hierarchy_dump
 
 TRACKED_PROPERTIES = ("resource_id", "widget_class", "package", "text", "clickable")
@@ -157,11 +157,9 @@ class RunSnapshot:
                 raise CorruptRun(
                     f"{directory / 'scenetg.json'}: scenes[{i}].layout_ref: must name a file under layouts/"
                 )
-            layout = directory / scene["layout_ref"]
-            try:
-                layouts[scene["id"]] = layout.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptRun(f"{layout}: not UTF-8 text: {exc}") from None
+            if scene["id"] not in paths:
+                raise CorruptRun(f"{paths_file}: no path for scene {scene['id']}")
+            layouts[scene["id"]] = read_text(directory / scene["layout_ref"])
         edges = {
             (e["src"], e["dst"], e["event"], e["component"]) for e in doc["scene_edges"]
         }
@@ -185,7 +183,7 @@ def match_scenes(old: RunSnapshot, new: RunSnapshot):
     def key_map(snapshot: RunSnapshot) -> dict:
         mapping = {}
         for scene in snapshot.scenes:  # discovery order
-            key = (scene["activity"], _path_key(snapshot.paths.get(scene["id"], [])))
+            key = (scene["activity"], _path_key(snapshot.paths[scene["id"]]))
             if key in mapping:
                 ambiguous.append([key[0], list(map(list, key[1])), scene["id"]])
                 continue

@@ -27,7 +27,7 @@ class DanglingReference(SceneTGError):
 
 
 class CorruptRun(SceneTGError):
-    """A stored explore output is not valid JSON or lacks a field its readers need."""
+    """A stored explore output cannot be read, is not valid JSON, or lacks a field its readers need."""
 
 
 class MissingEdge(SceneTGError):

@@ -1,4 +1,4 @@
-"""Activity and scene transition graphs: storage, caller queries, exports, metrics, stored-run reading."""
+"""Activity and scene transition graphs: storage, caller queries, exports, metrics, file reading."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ class EventKind(str, Enum):
     TAP = "TAP"
     SET_TEXT = "SET_TEXT"
     TOGGLE = "TOGGLE"
-    BACK = "BACK"
-    LAUNCH = "LAUNCH"
 
 
 class EdgeOrigin(str, Enum):
@@ -225,19 +223,34 @@ _ENTRY_FIELDS = {
 }
 
 
-def read_json(path: Path) -> dict:
-    """A stored run's JSON file, whose top level must be an object; CorruptRun otherwise."""
+def read_text(path, where=None, error=CorruptRun) -> str:
+    """The strict UTF-8 text of `path`: every file the package reads goes through here.
+
+    `error` names `where` (the path by default) if the file cannot be opened or decoded.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{where or path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise error(f"{where or path}: cannot read: {exc}") from None
+
+
+def read_json(path, where=None, error=CorruptRun) -> dict:
+    """A JSON file whose top level must be an object; `error` naming `where` otherwise, as in `read_text`."""
+    where = where or path
+    text = read_text(path, where, error)
+    try:
         value = json.loads(text)
         if "\\ud" in text or "\\uD" in text:  # JSON lets a surrogate escape stand alone; UTF-8 cannot encode that
             json.dumps(value, ensure_ascii=False).encode("utf-8")
-    except ValueError as exc:  # malformed JSON, text that is not UTF-8, or a lone surrogate
-        raise CorruptRun(f"{path}: invalid JSON: {exc}") from None
+    except ValueError as exc:  # malformed JSON or a lone surrogate
+        raise error(f"{where}: invalid JSON: {exc}") from None
     except RecursionError:
-        raise CorruptRun(f"{path}: invalid JSON: nested too deeply") from None
+        raise error(f"{where}: invalid JSON: nested too deeply") from None
     if not isinstance(value, dict):
-        raise CorruptRun(f"{path}: top level must be a JSON object")
+        raise error(f"{where}: top level must be a JSON object")
     return value
 
 

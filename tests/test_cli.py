@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,19 @@ def explore_to(tmp_path, name, *extra):
     out = tmp_path / "out"
     code = main(["explore", "--app", bench(name), "--out", str(out), *extra])
     return code, out
+
+
+def _string_fields(value, path=()):
+    """The key path of every string in a JSON value, depth first."""
+    for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+        if isinstance(child, str):
+            yield path + (key,)
+        elif isinstance(child, (dict, list)):
+            yield from _string_fields(child, path + (key,))
+
+
+NESTED_MENU = json.loads(benchmark_path("nested_menu_v1.json").read_text(encoding="utf-8"))
+SURROGATE_FIELDS = list(_string_fields(NESTED_MENU))
 
 
 class TestExplore:
@@ -291,6 +305,42 @@ class TestOtherVerbs:
             with pytest.raises(CorruptRun, match=re.escape(f"paths.json: {where}: expected")):
                 RunSnapshot.load(bad)
 
+    @pytest.mark.parametrize(
+        "pick, spoil, message",
+        [
+            (lambda run: sorted((run / "layouts").glob("*.xml"))[0], Path.unlink, "cannot read"),
+            (lambda run: run / "paths.json", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), "not UTF-8 text"),
+        ],
+        ids=["deleted-layout", "paths-not-utf8"],
+    )
+    def test_diff_unreadable_run_file_is_corrupt_run_naming_it(self, explored, tmp_path, capsys, pick, spoil, message):
+        bad = tmp_path / "bad"
+        shutil.copytree(explored, bad)
+        target = pick(bad)
+        spoil(target)
+        for old, new in ((explored, bad), (bad, explored)):
+            capsys.readouterr()
+            code = main(["diff", "--old", str(old), "--new", str(new), "--out", str(tmp_path / "d.json")])
+            assert code == EXIT_RUNTIME
+            assert f"{target}: {message}: " in capsys.readouterr().err
+        with pytest.raises(CorruptRun, match=re.escape(f"{target}: {message}: ")):
+            RunSnapshot.load(bad)
+
+    def test_diff_scene_without_path_is_corrupt_run(self, tmp_path, capsys):
+        _, old = explore_to(tmp_path / "a", "nested_menu_v1.json")
+        _, new = explore_to(tmp_path / "b", "nested_menu_v2.json")
+        paths = json.loads((new / "paths.json").read_text())
+        sid = next(sid for sid, steps in paths.items() if steps)  # not the entry scene
+        del paths[sid]
+        (new / "paths.json").write_text(json.dumps(paths))
+        message = f"{new / 'paths.json'}: no path for scene {sid}"
+        for argv in (["--old", str(old), "--new", str(new)], ["--old", str(new), "--new", str(old)]):
+            capsys.readouterr()
+            assert main(["diff", *argv, "--out", str(tmp_path / "d.json")]) == EXIT_RUNTIME
+            assert message in capsys.readouterr().err
+        with pytest.raises(CorruptRun, match=re.escape(message)):
+            RunSnapshot.load(new)
+
     def test_diff_rejects_non_run_directory(self, tmp_path):
         code = main(["diff", "--old", str(tmp_path), "--new", str(tmp_path), "--out", str(tmp_path / "d.json")])
         assert code == EXIT_USAGE
@@ -319,6 +369,35 @@ class TestOtherVerbs:
         assert "model: not UTF-8 text" in capsys.readouterr().err
         with pytest.raises(SchemaError, match="^model: not UTF-8 text: "):
             load_app_model(bad)
+
+    @pytest.mark.parametrize("verb", ["validate-model", "explore"])
+    @pytest.mark.parametrize("field", SURROGATE_FIELDS, ids=lambda field: ".".join(map(str, field)))
+    def test_model_string_with_lone_surrogate_is_schema_error(self, verb, field, tmp_path, capsys):
+        doc = json.loads(json.dumps(NESTED_MENU))
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] += "\ud800"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")  # the surrogate stays a \ud800 escape
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if verb == "explore" else []
+        assert main([verb, "--app", str(bad), *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "model: invalid JSON" in err and "Traceback" not in err
+        assert not out.exists()
+        with pytest.raises(SchemaError, match="^model: invalid JSON: "):
+            load_app_model(bad)
+
+    @pytest.mark.parametrize("verb", ["validate-model", "explore"])
+    def test_directory_as_model_is_schema_error(self, verb, tmp_path, capsys):
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if verb == "explore" else []
+        assert main([verb, "--app", str(tmp_path), *extra]) == EXIT_USAGE
+        assert "model: cannot read: " in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SchemaError, match="^model: cannot read: "):
+            load_app_model(tmp_path)
 
     def test_validate_model_names_unknown_field(self, tmp_path, capsys):
         doc = json.loads(benchmark_path("app01.json").read_text())

@@ -301,6 +301,7 @@ BAD_FIELDS = [
      r"model\.activities\[1\]\.required_extras\[1\]: duplicate extra key 'k'$"),
     (("activities", 1, "name"), "", r"model\.activities\[1\]\.name: must not be empty"),
     (("seed_atg", 0, 2), "SWIPE", r"model\.seed_atg\[0\]\.event"),
+    (("seed_atg", 0, 2), "SET_TEXT", r"model\.seed_atg\[0\]\.event: only 'TAP' is supported, got 'SET_TEXT'$"),
     (("activities", 1, "launch_failure"), "OK", r"model\.activities\[1\]\.launch_failure"),
     (("activities", 1, "launch_failure"), ["NOT_EXPORTED"], r"model\.activities\[1\]\.launch_failure"),
     (("activities", 0, "scenes", 1, "widgets", 0, "id"), "lbl_title", r"scenes\[1\]\.widgets\[0\]\.id: duplicate"),

@@ -1,5 +1,6 @@
 """The runtime stays on the standard library: `src/scenetg/*.py` imports nothing else,
-and its syntax stays within the oldest Python that `pyproject.toml` declares."""
+and its syntax stays within the oldest Python that `pyproject.toml` declares. Every file
+it reads goes through `graphs.read_text`, so all its inputs follow one set of rules."""
 
 import ast
 import re
@@ -31,3 +32,45 @@ def test_sources_parse_under_the_declared_python_floor():
     version = (3, int(floor.group(1)))
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether `call` opens or reads a file: open/.open without a write mode, .read_text, .read_bytes, json.load."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
+        return True
+    if isinstance(func, ast.Attribute) and func.attr == "load":
+        return isinstance(func.value, ast.Name) and func.value.id == "json"
+    if not (isinstance(func, ast.Name) and func.id == "open" or isinstance(func, ast.Attribute) and func.attr == "open"):
+        return False
+    # The mode is open(file, mode) or io.open(file, mode), but Path.open(mode).
+    modes = call.args[:2] + [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    return not any(isinstance(m, ast.Constant) and str(m.value).strip("rbt+") in ("w", "a", "x") for m in modes)
+
+
+class _ReadSites(ast.NodeVisitor):
+    """The innermost enclosing function of every reading call in one module."""
+
+    def __init__(self):
+        self.scope, self.sites = "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if _reads_a_file(node):
+            self.sites.append(self.scope)
+        self.generic_visit(node)
+
+
+def test_only_graphs_read_text_reads_a_file():
+    sites = []
+    for path in SOURCES:
+        visitor = _ReadSites()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        sites += [f"{path.name}:{scope}" for scope in visitor.sites]
+    assert sites == ["graphs.py:read_text"]
