@@ -11,14 +11,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 from .errors import CorruptRun, SceneTGError
 from .graphs import read_json, read_run_document, read_text
-from .layout import ComponentNode, ComponentTree, children, parse_hierarchy_dump
+from .layout import ComponentNode, ComponentTree, check_hierarchy_dump, children, parse_hierarchy_dump
 
 TRACKED_PROPERTIES = ("resource_id", "widget_class", "package", "text", "clickable")
+_tracked = attrgetter(*TRACKED_PROPERTIES)
 
 
 class ChangeKind(str, Enum):
@@ -134,7 +136,7 @@ class RunSnapshot:
     scenes: list[dict]  # ordered by discovery
     edges: set[tuple]  # (src, dst, event, component)
     paths: dict[str, list]  # scene id -> [[event, component], ...]
-    layouts: dict[str, str]  # scene id -> layout text, parsed by diff_graphs
+    layouts: dict[str, str]  # scene id -> layout text, checked by diff_graphs
 
     @classmethod
     def load(cls, directory) -> "RunSnapshot":
@@ -237,18 +239,19 @@ def _align(old_kids: list[ComponentNode], new_kids: list[ComponentNode]):
 
 
 def _diff_nodes(old: ComponentNode, new: ComponentNode, path: tuple, changes: list, package: str):
-    for attr in TRACKED_PROPERTIES:
-        if getattr(old, attr) != getattr(new, attr):
-            changes.append(
-                NodeChange(
-                    ChangeKind.PROPERTY_CHANGED,
-                    path,
-                    new.resource_id or old.resource_id,
-                    attribute=attr,
-                    old=getattr(old, attr),
-                    new=getattr(new, attr),
+    if _tracked(old) != _tracked(new):  # most nodes of a changed page are equal, so one compare settles them
+        for attr in TRACKED_PROPERTIES:
+            if getattr(old, attr) != getattr(new, attr):
+                changes.append(
+                    NodeChange(
+                        ChangeKind.PROPERTY_CHANGED,
+                        path,
+                        new.resource_id or old.resource_id,
+                        attribute=attr,
+                        old=getattr(old, attr),
+                        new=getattr(new, attr),
+                    )
                 )
-            )
     pairs, added, deleted = _align(
         children(old, package, collapse_adapters=True), children(new, package, collapse_adapters=True)
     )
@@ -274,19 +277,25 @@ def diff_trees(old: ComponentTree, new: ComponentTree, target_package: str) -> l
     return changes
 
 
-def _parse_layouts(*snapshots: RunSnapshot) -> dict[tuple[str, str], ComponentTree]:
-    """Each distinct (activity, layout text) of the snapshots, parsed once.
+def _read_layouts(changed: set, *snapshots: RunSnapshot) -> dict[str, ComponentTree]:
+    """The tree of each text in `changed`; every other distinct layout text of the snapshots is only checked.
 
-    Every layout is parsed, used or not, so a malformed one fails the diff; its
-    error names the layout file.
+    Each distinct text is read once, in scene order, so a malformed layout
+    fails the diff whether or not it is used; its error names the first
+    layout file that holds the text.
     """
     trees = {}
+    seen = set()
     for snapshot in snapshots:
         for scene in snapshot.scenes:
-            key = (scene["activity"], snapshot.layouts[scene["id"]])
-            if key not in trees:
+            text = snapshot.layouts[scene["id"]]
+            if text not in seen:
+                seen.add(text)
                 try:
-                    trees[key] = parse_hierarchy_dump(key[1], key[0])
+                    if text in changed:
+                        trees[text] = parse_hierarchy_dump(text, scene["activity"])
+                    else:
+                        check_hierarchy_dump(text)
                 except SceneTGError as exc:
                     exc.args = (f"{snapshot.directory / scene['layout_ref']}: {exc}",)
                     raise
@@ -294,8 +303,14 @@ def _parse_layouts(*snapshots: RunSnapshot) -> dict[tuple[str, str], ComponentTr
 
 
 def diff_graphs(old: RunSnapshot, new: RunSnapshot) -> DiffReport:
-    trees = _parse_layouts(old, new)
     matches, added_scenes, removed_scenes, ambiguous = match_scenes(old, new)
+    # Identical bytes make equal trees, whose diff is empty; so only the
+    # layouts of a pair whose bytes differ are built into trees.
+    changed = set()
+    for _, old_id, new_id in matches:
+        if old.layouts[old_id] != new.layouts[new_id]:
+            changed.update((old.layouts[old_id], new.layouts[new_id]))
+    trees = _read_layouts(changed, old, new)
     report = DiffReport(
         added_scenes=added_scenes, removed_scenes=removed_scenes, ambiguous_matches=ambiguous
     )
@@ -303,12 +318,7 @@ def diff_graphs(old: RunSnapshot, new: RunSnapshot) -> DiffReport:
     for (activity, path), old_id, new_id in matches:
         id_map[old_id] = new_id
         old_text, new_text = old.layouts[old_id], new.layouts[new_id]
-        # Identical bytes parse to equal trees, whose diff is empty.
-        changes = (
-            []
-            if old_text == new_text
-            else diff_trees(trees[activity, old_text], trees[activity, new_text], new.package)
-        )
+        changes = [] if old_text == new_text else diff_trees(trees[old_text], trees[new_text], new.package)
         if changes or old_id != new_id:
             report.scene_updates.append(
                 SceneUpdate(activity, [list(p) for p in path], old_id, new_id, changes)

@@ -229,18 +229,24 @@ def read_text(path, where=None, error=CorruptRun) -> str:
     `error` names `where` (the path by default) if the file cannot be opened or decoded.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:  # one read of the whole file, no buffer
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{where or path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise error(f"{where or path}: cannot read: {exc}") from None
+    # Universal newlines, as text mode reads them: CRLF and a lone CR become LF.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_json(path, where=None, error=CorruptRun) -> dict:
     """A JSON file whose top level must be an object; `error` naming `where` otherwise, as in `read_text`."""
     where = where or path
-    text = read_text(path, where, error)
+    return parse_json(read_text(path, where, error), where, error)
+
+
+def parse_json(text: str, where, error=CorruptRun) -> dict:
+    """`text` decoded as JSON whose top level must be an object; `error` naming `where` otherwise."""
     try:
         value = json.loads(text)
         if "\\ud" in text or "\\uD" in text:  # JSON lets a surrogate escape stand alone; UTF-8 cannot encode that
@@ -265,7 +271,11 @@ def read_run_document(directory) -> dict:
         for i, entry in enumerate(doc[key]):
             if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in fields):
                 raise CorruptRun(f"{path}: {key}[{i}]: needs string fields {', '.join(fields)}")
-    known = {scene["id"] for scene in doc["scenes"]}
+    known = set()
+    for i, scene in enumerate(doc["scenes"]):  # a repeated id would pair, diff and count one scene twice
+        if scene["id"] in known:
+            raise CorruptRun(f"{path}: scenes[{i}].id: repeats scene {scene['id']}")
+        known.add(scene["id"])
     for i, edge in enumerate(doc["scene_edges"]):
         if edge["src"] not in known or edge["dst"] not in known:
             raise CorruptRun(

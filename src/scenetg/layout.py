@@ -141,7 +141,7 @@ def _node_from_element(elem: ET.Element, position: int) -> ComponentNode:
 
 
 # What `serialize_tree` writes around its node lines, one to a line;
-# `_parse_written` recognizes that form and no other.
+# `_parse_written` and `_check_written` accept that form and no other.
 _WRITTEN_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<hierarchy>\n'
 _WRITTEN_TAIL = "\n</hierarchy>\n"
 # A string value XML keeps as it is: no quote, `&` or `<`, no control character
@@ -213,15 +213,42 @@ def _parse_written(text: str, source_activity: str) -> Optional[ComponentTree]:
     return ComponentTree(root=roots[0], source_activity=source_activity)
 
 
-def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
-    """Parse a hierarchy dump into a ComponentTree, preserving nesting and sibling order.
+def _check_written(text: str) -> bool:
+    """Whether `_parse_written` builds a tree from `text`: its walk and rules, building no node.
 
-    Text in exactly the form `serialize_tree` writes takes a line-pattern fast
-    path; any other text is parsed by ElementTree.
+    The same line pattern, `bounds` and `index` checks, depth bound, close
+    rule and single-root rule; so True exactly where `_parse_written` returns
+    a tree.
     """
-    tree = _parse_written(text, source_activity)
-    if tree is not None:
-        return tree
+    if not (text.startswith(_WRITTEN_HEAD) and text.endswith(_WRITTEN_TAIL)):
+        return False
+    depth = roots = 0
+    try:
+        for line in text[len(_WRITTEN_HEAD) : -len(_WRITTEN_TAIL)].split("\n"):
+            m = _WRITTEN_LINE(line)
+            if m is None:
+                return False
+            index, bounds, leaf = m.group(1, 12, 13)
+            if index is None:  # </node>
+                if depth == 0:
+                    return False
+                depth -= 1
+                continue
+            if depth == 0:
+                roots += 1
+            elif depth >= _WRITTEN_MAX_DEPTH:
+                return False
+            _bounds(bounds)
+            int(index)
+            if leaf is None:
+                depth += 1
+    except (ParseError, ValueError):  # degenerate bounds; an index past int's digit limit
+        return False
+    return depth == 0 and roots == 1
+
+
+def _parse_general(text: str, source_activity: str) -> ComponentTree:
+    """The ElementTree parse, for a dump in any form; a bad one raises ParseError or MissingAttribute."""
     try:
         root_elem = ET.fromstring(text)
     except (ET.ParseError, UnicodeEncodeError) as exc:  # the latter for a lone surrogate: ET encodes text first
@@ -239,6 +266,26 @@ def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
     except RecursionError:
         raise ParseError("hierarchy nested too deeply to parse") from None
     return ComponentTree(root=root, source_activity=source_activity)
+
+
+def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
+    """Parse a hierarchy dump into a ComponentTree, preserving nesting and sibling order.
+
+    Text in exactly the form `serialize_tree` writes takes a line-pattern fast
+    path; any other text is parsed by ElementTree.
+    """
+    tree = _parse_written(text, source_activity)
+    return tree if tree is not None else _parse_general(text, source_activity)
+
+
+def check_hierarchy_dump(text: str) -> None:
+    """Raise what `parse_hierarchy_dump` raises for `text`, if anything.
+
+    Text in the writer's form is checked line by line and builds no node;
+    any other text goes through the ElementTree parse.
+    """
+    if not _check_written(text):
+        _parse_general(text, "")
 
 
 def _flag(on: bool) -> str:
@@ -296,9 +343,17 @@ ADAPTER_VIEW_SUFFIXES = (
 )
 
 
+# Distinct class names whose adapter test is kept; an app has few.
+CLASS_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _is_adapter_class(widget_class: str) -> bool:
+    return widget_class.rsplit(".", 1)[-1].endswith(ADAPTER_VIEW_SUFFIXES)
+
+
 def is_adapter_view(node: ComponentNode) -> bool:
-    simple = node.widget_class.rsplit(".", 1)[-1]
-    return simple.endswith(ADAPTER_VIEW_SUFFIXES)
+    return _is_adapter_class(node.widget_class)
 
 
 def children(node: ComponentNode, target_package: str, collapse_adapters: bool = False) -> list[ComponentNode]:

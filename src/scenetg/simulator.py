@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DanglingReference, DriverError, SchemaError, SelectorNotFound
-from .graphs import read_json
+from .graphs import parse_json, read_text
 from .icc import ExtraType, IccMessage
 from .layout import BOUNDS_CACHE_SIZE, Bounds, ComponentNode, ComponentTree, NodeIndex, Selector
 
@@ -357,8 +357,40 @@ def parse_app_model(doc: dict) -> AppModel:
     return AppModel(package=doc["package"], by_name=activities, seed_atg=seed_atg)
 
 
+# A character no stored layout can carry: XML 1.0 has no form for a C0 control
+# other than tab, LF and CR, nor for U+FFFE or U+FFFF, not even a character
+# reference. A model string holding one would explore, and write a layout that
+# no diff can read.
+_UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]").search
+# The JSON escapes that can stand for one: \b, \f, \u0000-\u001f, \ufffe, \uffff.
+# Tab, LF and CR escapes match too; the walk lets them pass.
+_UNWRITABLE_ESCAPE = re.compile(r"\\(?:[bf]|u00[01]|u[fF]{3}[eEfF])").search
+
+
+def _refuse_unwritable(doc: dict) -> None:
+    """SchemaError at the first string of `doc`, in document order, that holds a character no layout can carry."""
+    stack = [("model", doc)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, str):
+            bad = _UNWRITABLE(value)
+            if bad:
+                raise SchemaError(f"{where}: {bad.group()!r} cannot be written to a layout (XML 1.0 has no form for it)")
+        elif isinstance(value, dict):
+            stack.extend((f"{where}.{key}", child) for key, child in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((f"{where}[{i}]", value[i]) for i in reversed(range(len(value))))
+
+
 def load_app_model(path) -> AppModel:
-    return parse_app_model(read_json(path, "model", SchemaError))
+    text = read_text(path, "model", SchemaError)
+    doc = parse_json(text, "model", SchemaError)
+    # The text is scanned once, and the strings are walked only on a hit. JSON
+    # refuses a raw control character in a string, so only U+FFFE and U+FFFF
+    # can be there as themselves; anything else would be an escape.
+    if "\ufffe" in text or "\uffff" in text or _UNWRITABLE_ESCAPE(text):
+        _refuse_unwritable(doc)
+    return parse_app_model(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,28 @@ class TestOtherVerbs:
         assert main(["export", "--in", str(out), "--format", "dot"]) == EXIT_RUNTIME
         assert "x -> y" in capsys.readouterr().err
 
+    def test_repeated_scene_id_is_corrupt_run(self, explored, tmp_path, capsys):
+        # A copied scene entry: the diff would pair it twice and report "no differences".
+        doc = json.loads((explored / "scenetg.json").read_text())
+        doc["scenes"].append(dict(doc["scenes"][0]))
+        bad = tmp_path / "bad"
+        shutil.copytree(explored, bad)
+        (bad / "scenetg.json").write_text(json.dumps(doc))
+        n, sid = len(doc["scenes"]) - 1, doc["scenes"][0]["id"]
+        message = f"{bad / 'scenetg.json'}: scenes[{n}].id: repeats scene {sid}"
+        for argv in (
+            ["stats", "--in", str(bad)],
+            ["export", "--in", str(bad), "--format", "dot"],
+            ["export", "--in", str(bad), "--format", "json"],
+            ["diff", "--old", str(bad), "--new", str(explored), "--out", str(tmp_path / "d.json")],
+            ["diff", "--old", str(explored), "--new", str(bad), "--out", str(tmp_path / "d.json")],
+        ):
+            capsys.readouterr()
+            assert main(argv) == EXIT_RUNTIME, argv[0]
+            assert message in capsys.readouterr().err, argv[0]
+        with pytest.raises(CorruptRun, match=re.escape(message)):
+            RunSnapshot.load(bad)
+
     def test_diff_verb(self, tmp_path, capsys):
         _, old = explore_to(tmp_path / "a", "nested_menu_v1.json")
         _, new = explore_to(tmp_path / "b", "nested_menu_v2.json")
@@ -388,6 +410,47 @@ class TestOtherVerbs:
         assert not out.exists()
         with pytest.raises(SchemaError, match="^model: invalid JSON: "):
             load_app_model(bad)
+
+    @pytest.mark.parametrize("verb", ["validate-model", "explore"])
+    @pytest.mark.parametrize("char", ["\x01", "\x1f", "\ufffe", "\uffff"], ids=["x01", "x1f", "ufffe", "uffff"])
+    @pytest.mark.parametrize("field", SURROGATE_FIELDS, ids=lambda field: ".".join(map(str, field)))
+    def test_model_string_no_layout_can_carry_is_schema_error(self, verb, char, field, tmp_path, capsys):
+        # XML 1.0 has no form for these, so the run's layouts would fail every diff.
+        doc = json.loads(json.dumps(NESTED_MENU))
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] += char
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")  # as a \u escape
+        where = "model" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in field)
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if verb == "explore" else []
+        assert main([verb, "--app", str(bad), *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: {char!r} cannot be written to a layout") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('"\ufffe"', "model.package"),  # raw U+FFFE, unescaped
+            ('"a\\uFFFF"', "model.package"),
+            ('"a\\b"', "model.package"),
+            ('"a\\f"', "model.package"),
+            ('"a\\t\\n\\r\\\\u0001\\\\b"', None),  # tab, LF, CR and escaped backslashes pass
+        ],
+        ids=["raw-ufffe", "escaped-uffff", "backspace", "form-feed", "allowed"],
+    )
+    def test_every_json_form_of_an_unwritable_character_is_caught(self, text, where, tmp_path):
+        doc = json.dumps(NESTED_MENU).replace(json.dumps(NESTED_MENU["package"]), text, 1)
+        path = tmp_path / "m.json"
+        path.write_text(doc, encoding="utf-8")
+        if where is None:
+            assert load_app_model(path).package == json.loads(text)
+        else:
+            with pytest.raises(SchemaError, match=f"^{re.escape(where)}: .* cannot be written to a layout"):
+                load_app_model(path)
 
     @pytest.mark.parametrize("verb", ["validate-model", "explore"])
     def test_directory_as_model_is_schema_error(self, verb, tmp_path, capsys):

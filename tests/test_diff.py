@@ -206,7 +206,7 @@ def _layout(out, sid):
 
 
 class TestDiffReadsEveryLayout:
-    """Every stored layout is parsed, so a malformed one fails the diff wherever it is."""
+    """Every stored layout is checked, so a malformed one fails the diff wherever it is."""
 
     @pytest.fixture(scope="class")
     def menus(self, runs):
@@ -247,32 +247,41 @@ class TestDiffReadsEveryLayout:
 class TestDiffWorkCounts:
     @pytest.fixture
     def spies(self, monkeypatch):
-        parsed, diffed = [], []
-        real_parse, real_diff = diff.parse_hierarchy_dump, diff.diff_trees
+        checked, built, diffed = [], [], []
+        real_check, real_parse, real_diff = diff.check_hierarchy_dump, diff.parse_hierarchy_dump, diff.diff_trees
+
+        def check(text):
+            checked.append(text)
+            return real_check(text)
 
         def parse(text, activity):
-            parsed.append((activity, text))
-            return real_parse(text, activity)
+            tree = real_parse(text, activity)
+            built.append(tree)
+            return tree
 
         def diff_trees_spy(old, new, package):
             diffed.append((old, new))
             return real_diff(old, new, package)
 
+        monkeypatch.setattr(diff, "check_hierarchy_dump", check)
         monkeypatch.setattr(diff, "parse_hierarchy_dump", parse)
         monkeypatch.setattr(diff, "diff_trees", diff_trees_spy)
-        return parsed, diffed
+        return checked, built, diffed
 
-    def test_self_diff_parses_each_layout_once_and_diffs_no_tree(self, runs, spies):
-        parsed, diffed = spies
+    def test_self_diff_checks_each_layout_once_and_builds_no_tree(self, runs, spies):
+        checked, built, diffed = spies
         _, out, _ = runs.run("app03.json")
         report = diff_graphs(RunSnapshot.load(out), RunSnapshot.load(out))
         assert report.empty
         layouts = sorted(p.read_text(encoding="utf-8") for p in (out / "layouts").glob("*.xml"))
-        assert sorted(text for _, text in parsed) == layouts
+        assert sorted(checked) == layouts
+        assert built == []
         assert diffed == []
 
     def test_only_the_changed_drawer_pair_is_tree_diffed(self, runs, spies):
-        _, diffed = spies
+        _, built, diffed = spies
         report = diff_graphs(_snapshot(runs, "drawer_v1.json"), _snapshot(runs, "drawer_v2.json"))
         assert len(diffed) == 1
+        assert len(built) == 2
+        assert diffed[0][0] is built[0] and diffed[0][1] is built[1]
         assert len(report.scene_updates[0].changes) == 1

@@ -1,9 +1,10 @@
 import json
 import random
+import re
 
 import pytest
 
-from scenetg.errors import MissingEdge
+from scenetg.errors import CorruptRun, MissingEdge
 from scenetg.graphs import (
     ActivityEdge,
     ActivityGraph,
@@ -12,6 +13,7 @@ from scenetg.graphs import (
     SceneEdge,
     SceneGraph,
     export_dot,
+    read_text,
     scenetg_document,
     stats,
 )
@@ -199,3 +201,17 @@ class TestExports:
         assert dot.startswith("digraph scenetg {")
         assert f'"{"a" * 32}" -> "{"b" * 32}" [label="TAP/p:id/btn"];' in dot
         assert "aaaaaaaa\\nMainActivity" in dot
+
+
+class TestReadText:
+    @pytest.mark.parametrize("raw", [b"a\r\nb\r\n", b"a\rb\r", b"a\r\nb\r", b"a\nb\n"], ids=["crlf", "cr", "mixed", "lf"])
+    def test_newlines_read_as_lf(self, tmp_path, raw):
+        path = tmp_path / "f.txt"
+        path.write_bytes(raw)
+        assert read_text(path) == "a\nb\n"
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"ok\r\n\xff")
+        with pytest.raises(CorruptRun, match=f"^{re.escape(str(path))}: not UTF-8 text: .*0xff in position 4"):
+            read_text(path)

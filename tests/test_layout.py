@@ -20,8 +20,10 @@ from scenetg.layout import (
     NodeIndex,
     Selector,
     _bounds,
+    _check_written,
     _parse_written,
     bfs_nodes,
+    check_hierarchy_dump,
     parse_hierarchy_dump,
     serialize_tree,
 )
@@ -453,32 +455,43 @@ def _edits(rng, text):
     yield "degenerate-cut", degenerate[:k] + "\n</hierarchy>\n"
 
 
+def _random_texts():
+    """6,000 seeded texts: each random tree as `serialize_tree` writes it and with its values never escaped."""
+    rng = random.Random(17)
+    for alphabet in (KEPT, KEPT + CHANGED):
+        for _ in range(1500):
+            tree = _random_tree(rng, alphabet)
+            yield serialize_tree(tree)
+            yield _raw_written(tree)
+
+
+def _edited_layouts(runs):
+    """(kind, text) for each of EDITS applied, seeded, to every bundled layout."""
+    rng = random.Random(23)
+    for text in _bundled_layouts(runs):
+        yield from _edits(rng, text)
+
+
 class TestWrittenFastPath:
     def test_random_trees_parse_as_the_reference_does_or_hand_off(self):
-        rng = random.Random(17)
         taken = handed_off = 0
-        for alphabet in (KEPT, KEPT + CHANGED):
-            for _ in range(1500):
-                tree = _random_tree(rng, alphabet)
-                for text in (serialize_tree(tree), _raw_written(tree)):
-                    fast = _parse_written(text, "A")
-                    if fast is None:
-                        handed_off += 1
-                    else:
-                        taken += 1
-                        assert fast == _reference_parse(text, "A"), text
+        for text in _random_texts():
+            fast = _parse_written(text, "A")
+            if fast is None:
+                handed_off += 1
+            else:
+                taken += 1
+                assert fast == _reference_parse(text, "A"), text
         assert taken > 1000 and handed_off > 1000
 
     def test_edited_bundled_layouts_parse_as_the_reference_does(self, runs):
-        rng = random.Random(23)
         fast_path = {}  # edit kind -> the fast-path outcomes (taken or not) of its cases
-        for text in _bundled_layouts(runs):
-            for kind, case in _edits(rng, text):
-                got = _outcome(parse_hierarchy_dump, case)
-                assert got == _outcome(_reference_parse, case), (kind, case)
-                if kind == "degenerate-cut":
-                    assert got[1].startswith("malformed hierarchy dump"), got
-                fast_path.setdefault(kind, set()).add(_parse_written(case, "A") is not None)
+        for kind, case in _edited_layouts(runs):
+            got = _outcome(parse_hierarchy_dump, case)
+            assert got == _outcome(_reference_parse, case), (kind, case)
+            if kind == "degenerate-cut":
+                assert got[1].startswith("malformed hierarchy dump"), got
+            fast_path.setdefault(kind, set()).add(_parse_written(case, "A") is not None)
         assert sorted(fast_path) == sorted(EDITS)
         # Every edit handed off somewhere, and some edits kept the writer's form.
         assert all(False in seen for seen in fast_path.values())
@@ -496,6 +509,41 @@ class TestWrittenFastPath:
         assert parse_hierarchy_dump(past_bound, "A") == _reference_parse(past_bound, "A")
         with pytest.raises(ParseError, match="^hierarchy nested too deeply to parse$"):
             parse_hierarchy_dump(_written_chain(1200), "A")
+
+
+class TestWrittenCheck:
+    @pytest.fixture(scope="class")
+    def corpus(self, runs):
+        """The fast-path tests' texts: the random ones, the edited bundled layouts and chains at depths 100, 101, 1,200.
+
+        Two more close a node before the root opens, and end balanced.
+        """
+        chains = [_written_chain(depth) for depth in (100, 101, 1200)]
+        close_first = []
+        for depth in (2, 100):
+            lines = _written_chain(depth).split("\n")  # ..., "</node>", "</hierarchy>", ""
+            close_first.append("\n".join(lines[:2] + [lines[-3]] + lines[2:-3] + lines[-2:]))
+        return [*_random_texts(), *(case for _, case in _edited_layouts(runs)), *chains, *close_first]
+
+    def test_check_accepts_exactly_the_texts_the_fast_path_builds(self, corpus):
+        accepted = 0
+        for text in corpus:
+            built = _parse_written(text, "A") is not None
+            assert _check_written(text) is built, text
+            accepted += built
+        assert 1000 < accepted < len(corpus) - 1000
+
+    def test_check_raises_what_the_parse_raises(self, corpus):
+        raised = 0
+        for text in corpus:
+            want = _outcome(parse_hierarchy_dump, text)
+            got = _outcome(lambda text, _: check_hierarchy_dump(text), text)
+            if got is None:
+                assert isinstance(want, ComponentTree), text
+            else:
+                raised += 1
+                assert got == want, text
+        assert raised > 1000
 
 
 class TestWriterReaderLock:

@@ -11,6 +11,7 @@ import copy
 import json
 import random
 import re
+import shutil
 
 from scenetg import ExplorationConfig, benchmark_path, explore
 from scenetg.cli import EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
@@ -93,3 +94,55 @@ def test_cli_maps_mutated_models_to_exit_codes(tmp_path, capsys):
         expected = (EXIT_USAGE,) if _run(label, doc) == "rejected" else (EXIT_OK, EXIT_TIMEOUT)
         assert code in expected, label
         assert "Traceback" not in capsys.readouterr().err, label
+
+
+# Characters XML 1.0 cannot carry; a model string holding one must fail to load.
+UNWRITABLE = ("\x01", "\x1f", "\ufffe", "\uffff")
+
+
+def _tainted(label: str, doc: dict):
+    """A copy of `doc` with an UNWRITABLE character appended to one seeded string, or None if it holds no string."""
+    rng = random.Random(label)
+    doc = copy.deepcopy(doc)
+    strings = [(container, key) for container, key, _ in _fields(doc) if isinstance(container[key], str)]
+    if not strings:
+        return None
+    container, key = rng.choice(strings)
+    container[key] += rng.choice(UNWRITABLE)
+    return doc
+
+
+def test_every_model_explore_accepts_diffs_against_itself(tmp_path, capsys):
+    """A run of any model `scenetg explore` accepts can be diffed: its own run against itself, exit 0, no differences.
+
+    Each case also runs tainted: one of its strings holds a character no
+    layout can carry, which loading must refuse before anything is written.
+    """
+    diffed = tainted = 0
+    for n, (label, doc) in enumerate(_cases()):
+        for case in (doc, _tainted(label, doc)):
+            if case is None:
+                continue
+            app, out = tmp_path / "model.json", tmp_path / f"run{n}"
+            app.write_text(json.dumps(case), encoding="utf-8")
+            capsys.readouterr()
+            code = main(["explore", "--app", str(app), "--out", str(out), "--max-actions", str(MAX_ACTIONS)])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, label
+            if case is not doc:
+                assert code == EXIT_USAGE and not out.exists(), label
+                assert _FIELD_PATH.match(err.removeprefix("error: ")) and "cannot be written to a layout" in err, label
+                tainted += 1
+                continue
+            if code == EXIT_USAGE:
+                assert not out.exists(), label
+                continue
+            assert code in (EXIT_OK, EXIT_TIMEOUT), label
+            report = tmp_path / "diff.json"
+            assert main(["diff", "--old", str(out), "--new", str(out), "--out", str(report)]) == EXIT_OK, label
+            assert capsys.readouterr().out == "no differences\n", label
+            assert not any(json.loads(report.read_text(encoding="utf-8"))["summary"].values()), label
+            shutil.rmtree(out)
+            diffed += 1
+    cases = len(MODELS) * CASES_PER_MODEL
+    assert diffed >= cases // 10 and tainted >= cases * 9 // 10
