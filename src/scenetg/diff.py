@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +19,6 @@ from .graphs import read_json, read_run_document, read_text
 from .layout import ComponentNode, ComponentTree, check_hierarchy_dump, children, parse_hierarchy_dump
 
 TRACKED_PROPERTIES = ("resource_id", "widget_class", "package", "text", "clickable")
-_tracked = attrgetter(*TRACKED_PROPERTIES)
 
 
 class ChangeKind(str, Enum):
@@ -239,19 +237,18 @@ def _align(old_kids: list[ComponentNode], new_kids: list[ComponentNode]):
 
 
 def _diff_nodes(old: ComponentNode, new: ComponentNode, path: tuple, changes: list, package: str):
-    if _tracked(old) != _tracked(new):  # most nodes of a changed page are equal, so one compare settles them
-        for attr in TRACKED_PROPERTIES:
-            if getattr(old, attr) != getattr(new, attr):
-                changes.append(
-                    NodeChange(
-                        ChangeKind.PROPERTY_CHANGED,
-                        path,
-                        new.resource_id or old.resource_id,
-                        attribute=attr,
-                        old=getattr(old, attr),
-                        new=getattr(new, attr),
-                    )
+    for attr in TRACKED_PROPERTIES:
+        if getattr(old, attr) != getattr(new, attr):
+            changes.append(
+                NodeChange(
+                    ChangeKind.PROPERTY_CHANGED,
+                    path,
+                    new.resource_id or old.resource_id,
+                    attribute=attr,
+                    old=getattr(old, attr),
+                    new=getattr(new, attr),
                 )
+            )
     pairs, added, deleted = _align(
         children(old, package, collapse_adapters=True), children(new, package, collapse_adapters=True)
     )
@@ -277,23 +274,26 @@ def diff_trees(old: ComponentTree, new: ComponentTree, target_package: str) -> l
     return changes
 
 
-def _read_layouts(changed: set, *snapshots: RunSnapshot) -> dict[str, ComponentTree]:
-    """The tree of each text in `changed`; every other distinct layout text of the snapshots is only checked.
+def _read_layouts(changed: set, *snapshots: RunSnapshot) -> dict[tuple[str, str], ComponentTree]:
+    """The tree of each (activity, layout text) in `changed`; each other layout text is only checked.
 
     Each distinct text is read once, in scene order, so a malformed layout
     fails the diff whether or not it is used; its error names the first
-    layout file that holds the text.
+    layout file that holds the text. A text in `changed` under two
+    activities is built once for each, so a tree names its own activity.
     """
     trees = {}
     seen = set()
     for snapshot in snapshots:
         for scene in snapshot.scenes:
             text = snapshot.layouts[scene["id"]]
-            if text not in seen:
+            key = (scene["activity"], text)
+            build = key in changed and key not in trees
+            if build or text not in seen:
                 seen.add(text)
                 try:
-                    if text in changed:
-                        trees[text] = parse_hierarchy_dump(text, scene["activity"])
+                    if build:
+                        trees[key] = parse_hierarchy_dump(text, scene["activity"])
                     else:
                         check_hierarchy_dump(text)
                 except SceneTGError as exc:
@@ -307,9 +307,9 @@ def diff_graphs(old: RunSnapshot, new: RunSnapshot) -> DiffReport:
     # Identical bytes make equal trees, whose diff is empty; so only the
     # layouts of a pair whose bytes differ are built into trees.
     changed = set()
-    for _, old_id, new_id in matches:
+    for (activity, _), old_id, new_id in matches:
         if old.layouts[old_id] != new.layouts[new_id]:
-            changed.update((old.layouts[old_id], new.layouts[new_id]))
+            changed.update(((activity, old.layouts[old_id]), (activity, new.layouts[new_id])))
     trees = _read_layouts(changed, old, new)
     report = DiffReport(
         added_scenes=added_scenes, removed_scenes=removed_scenes, ambiguous_matches=ambiguous
@@ -318,7 +318,11 @@ def diff_graphs(old: RunSnapshot, new: RunSnapshot) -> DiffReport:
     for (activity, path), old_id, new_id in matches:
         id_map[old_id] = new_id
         old_text, new_text = old.layouts[old_id], new.layouts[new_id]
-        changes = [] if old_text == new_text else diff_trees(trees[old_text], trees[new_text], new.package)
+        changes = (
+            []
+            if old_text == new_text
+            else diff_trees(trees[activity, old_text], trees[activity, new_text], new.package)
+        )
         if changes or old_id != new_id:
             report.scene_updates.append(
                 SceneUpdate(activity, [list(p) for p in path], old_id, new_id, changes)

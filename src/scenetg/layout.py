@@ -343,17 +343,9 @@ ADAPTER_VIEW_SUFFIXES = (
 )
 
 
-# Distinct class names whose adapter test is kept; an app has few.
-CLASS_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _is_adapter_class(widget_class: str) -> bool:
-    return widget_class.rsplit(".", 1)[-1].endswith(ADAPTER_VIEW_SUFFIXES)
-
-
 def is_adapter_view(node: ComponentNode) -> bool:
-    return _is_adapter_class(node.widget_class)
+    simple = node.widget_class.rsplit(".", 1)[-1]
+    return simple.endswith(ADAPTER_VIEW_SUFFIXES)
 
 
 def children(node: ComponentNode, target_package: str, collapse_adapters: bool = False) -> list[ComponentNode]:

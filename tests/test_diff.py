@@ -1,5 +1,6 @@
 import random
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import PKG, make_node, make_tree
 from scenetg import diff
 from scenetg.cli import EXIT_RUNTIME, main
 from scenetg.diff import ChangeKind, RunSnapshot, diff_graphs, diff_trees, match_scenes
+from scenetg.layout import serialize_tree
 
 PROXY = "com.fixture.proxy"
 
@@ -284,4 +286,21 @@ class TestDiffWorkCounts:
         assert len(diffed) == 1
         assert len(built) == 2
         assert diffed[0][0] is built[0] and diffed[0][1] is built[1]
+        assert {tree.source_activity for tree in built} == {report.scene_updates[0].activity}
         assert len(report.scene_updates[0].changes) == 1
+
+    def test_a_text_changed_under_two_activities_is_built_for_each(self, spies, tmp_path):
+        checked, built, _ = spies
+        text = serialize_tree(make_tree(make_node(rid="x:id/root")))
+        snapshot = SimpleNamespace(
+            directory=tmp_path,
+            scenes=[
+                {"id": "s1", "activity": "A", "layout_ref": "layouts/s1.xml"},
+                {"id": "s2", "activity": "B", "layout_ref": "layouts/s2.xml"},
+            ],
+            layouts={"s1": text, "s2": text},
+        )
+        trees = diff._read_layouts({("A", text), ("B", text)}, snapshot)
+        assert sorted(trees) == [("A", text), ("B", text)]
+        assert [tree.source_activity for tree in built] == ["A", "B"]
+        assert checked == []
