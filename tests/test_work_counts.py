@@ -1,14 +1,21 @@
 """The work an explore does, counted rather than timed: renders per distinct page
 state, walks (`bfs_nodes` calls) per tree object on each side of the driver
-contract, and tap selectors built per session."""
+contract, tap selectors built per session, and a locked ledger of the work of
+each bundled model's explore.
 
+`PYTHONPATH=src python tests/test_work_counts.py` rewrites the ledger
+(`tests/work_ledger.json`) from the current sources.
+"""
+
+import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from scenetg import ExplorationConfig, benchmark_path, engine, explore, identity, layout
+from scenetg import ExplorationConfig, benchmark_path, engine, explore, identity, layout, write_outputs
 from scenetg.simulator import SimulatorSession, load_app_model, parse_app_model, simulate
 
 PKG = "com.fixture.work"
@@ -124,3 +131,89 @@ def test_each_tap_selector_is_built_once_per_session(monkeypatch):
         assert len(built[name]) == len(set(built[name])), name
     # palette's 20 colour buttons recur on each of the 21 states of its one scene, each state a new tree.
     assert len(built["palette.json"]) == 20
+
+
+LEDGER = Path(__file__).with_name("work_ledger.json")
+DRIVER_ACTIONS = ("launch_activity", "tap", "set_text", "toggle", "press_back")
+LEDGER_COLUMNS = (
+    *(f"actions.{action}" for action in DRIVER_ACTIONS),
+    "renders",
+    "node_index_builds",
+    "walks.plain",
+    "walks.collapsed",
+    "serialize_tree",
+    "written.files",
+    "written.bytes",
+)
+
+
+def _ledger_models():
+    """(name, model) of every bundled model, then of the synth-replay-shaped model."""
+    for path in sorted(Path(str(benchmark_path("app01.json"))).parent.glob("*.json")):
+        yield path.name, load_app_model(path)
+    yield "replay_shaped", _replay_shaped_model()
+
+
+def _work(model, out: Path) -> dict:
+    """The counted work of one default-config explore of `model`, written to `out`, by ledger column."""
+    counts = Counter()
+
+    with pytest.MonkeyPatch.context() as mp:
+
+        def count(column, owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[column] += 1
+                return original(*args, **kwargs)
+
+            mp.setattr(owner, name, counted)
+
+        for action in DRIVER_ACTIONS:
+            count(f"actions.{action}", SimulatorSession, action)
+        count("renders", SimulatorSession, "_render")
+        count("node_index_builds", layout.NodeIndex, "__init__")
+        count("serialize_tree", engine, "serialize_tree")
+        bfs_nodes = layout.bfs_nodes
+
+        def walked(tree, target_package, collapse_adapters=False):
+            counts["walks.collapsed" if collapse_adapters else "walks.plain"] += 1
+            return bfs_nodes(tree, target_package, collapse_adapters)
+
+        mp.setattr(layout, "bfs_nodes", walked)
+        mp.setattr(identity, "bfs_nodes", walked)
+        result = explore(model, simulate(model), ExplorationConfig())
+    write_outputs(result, out, model.package)
+    for path in out.rglob("*"):
+        if not path.is_file():
+            continue
+        counts["written.files"] += 1
+        if path.name == "report.json":  # counted without its wall time, which differs between runs
+            report = json.loads(path.read_text(encoding="utf-8"))
+            del report["wall_time_s"]
+            counts["written.bytes"] += len((json.dumps(report, indent=2) + "\n").encode("utf-8"))
+        else:
+            counts["written.bytes"] += path.stat().st_size
+    assert counts.keys() <= set(LEDGER_COLUMNS)
+    return {column: counts[column] for column in LEDGER_COLUMNS}
+
+
+def _ledger(tmp: Path) -> dict:
+    return {name: _work(model, tmp / name) for name, model in _ledger_models()}
+
+
+def test_work_matches_the_locked_ledger(tmp_path):
+    locked = json.loads(LEDGER.read_text(encoding="utf-8"))
+    now = _ledger(tmp_path)
+    changed = [
+        f"{name}: {column} {locked.get(name, {}).get(column)} -> {now.get(name, {}).get(column)}"
+        for name in sorted(locked.keys() | now.keys())
+        for column in sorted(locked.get(name, {}).keys() | now.get(name, {}).keys())
+        if locked.get(name, {}).get(column) != now.get(name, {}).get(column)
+    ]
+    assert changed == [], "work changed (model: column locked -> now):\n" + "\n".join(changed)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        LEDGER.write_text(json.dumps(_ledger(Path(tmp)), indent=2) + "\n", encoding="utf-8")
