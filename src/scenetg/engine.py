@@ -3,7 +3,6 @@ exploration, indirect launching, re-queue, and the ATG-growth stop rule."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import time
@@ -22,8 +21,8 @@ from .layout import ComponentNode, ComponentTree, NodeIndex, Selector, serialize
 FUZZ_COMPONENT_CAP = 6
 # Depth of in-activity scene expansion; back-press restores try this many presses plus two.
 MAX_DEPTH_PER_ACTIVITY = 20
-# Tree objects whose state key and node index the explorer keeps; past it the
-# oldest is dropped, and that tree is keyed and indexed anew if the driver returns it again.
+# Tree objects whose state key and tap selectors the explorer keeps; past it the
+# oldest is dropped, and that tree is keyed anew if the driver returns it again.
 KEYED_TREES_CAP = 1024
 
 
@@ -73,7 +72,6 @@ def fuzz_assignments(
     config: ExplorationConfig,
     target_package: str,
     input_type_lookup: Optional[Callable[[Selector], Optional[str]]] = None,
-    index_of: Optional[Callable[[ComponentTree], NodeIndex]] = None,
 ) -> list[list[tuple[EventKind, Selector, object]]]:
     """All 2^k widget-state combinations over the page's non-transitive components.
 
@@ -81,11 +79,10 @@ def fuzz_assignments(
     for SET_TEXT, checked or not for TOGGLE. Components are taken in BFS order;
     beyond the cap they stay pinned at their defaults. Assignment order is binary
     counting with the first component as the most significant bit, so
-    assignment 0 is all-defaults. `index_of` gives a tree's NodeIndex; by
-    default the tree is indexed anew.
+    assignment 0 is all-defaults.
     """
     pairs = []  # the (off, on) steps of each fuzzed component
-    for node in (index_of(tree) if index_of else NodeIndex(tree, target_package)).order:
+    for node in NodeIndex.of(tree, target_package).order:
         event = non_transitive_kind(node.widget_class)
         if event is None:
             continue
@@ -111,22 +108,18 @@ def _issue(driver, event: EventKind, selector: Selector, value) -> None:
         driver.toggle(selector)
 
 
-def apply_assignment(
-    driver, assignment, target_package: str, index_of: Optional[Callable[[ComponentTree], NodeIndex]] = None
-):
+def apply_assignment(driver, assignment, target_package: str):
     """Drive the page into the requested widget states.
 
     Returns (events, missing): `events` is the list of steps actually issued
     (no-ops skipped), `missing` the selectors that matched nothing; missing
-    entries never abort the rest of the assignment. `index_of` gives a tree's
-    NodeIndex; by default each page is indexed anew.
+    entries never abort the rest of the assignment.
     """
-    index_of = index_of or functools.partial(NodeIndex, target_package=target_package)
     events = []
     missing = []
     for step in assignment:
         event, selector, value = step
-        node = index_of(driver.current_tree()).match(selector)
+        node = NodeIndex.of(driver.current_tree(), target_package).match(selector)
         if node is None:
             missing.append(selector)
         elif (node.text if event is EventKind.SET_TEXT else node.checked) != value:
@@ -198,7 +191,6 @@ class _Seen(NamedTuple):
     tree: ComponentTree  # held, so that the id the entry is filed under is not reused while it lives
     key: str  # the state key
     xml: Optional[str]  # the text the raw-state key hashed; None under scene ids
-    index: NodeIndex
     taps: tuple[Selector, ...]  # a selector for each clickable node, in BFS order
 
 
@@ -236,7 +228,7 @@ class Explorer:
         self.outcomes: dict[str, dict] = {act.name: {} for act in model.activities}
         # id(tree) -> what was derived from each tree seen so far, up to KEYED_TREES_CAP.
         # A driver may return the same tree object whenever the page state recurs, so
-        # each object is keyed, walked and indexed once.
+        # each object is keyed once.
         self._keys: dict[int, _Seen] = {}
         # resource id, or (class, bounds) without one -> the selector of that node. The states of a
         # page share its clickables, so each selector is built once per session.
@@ -269,9 +261,8 @@ class Explorer:
             else:
                 xml = serialize_tree(tree)
                 key = identity.raw_state_id(xml)
-            index = NodeIndex(tree, self.package)
-            taps = tuple(self._selector(n) for n in index.order if n.clickable)
-            seen = self._keys[id(tree)] = _Seen(tree, key, xml, index, taps)
+            taps = tuple(self._selector(n) for n in NodeIndex.of(tree, self.package).order if n.clickable)
+            seen = self._keys[id(tree)] = _Seen(tree, key, xml, taps)
             if len(self._keys) > KEYED_TREES_CAP:
                 del self._keys[next(iter(self._keys))]
         return seen
@@ -282,9 +273,6 @@ class Explorer:
         if selector is None:
             selector = self._selectors[key] = _selector_for(node)
         return selector
-
-    def _index(self, tree: ComponentTree) -> NodeIndex:
-        return self._seen(tree).index
 
     def _record_scene(self, tree: ComponentTree, path: list) -> str:
         seen = self._seen(tree)
@@ -329,7 +317,7 @@ class Explorer:
             event, component = self.atg.edge_action(a, b)
             tree = self.driver.current_tree()
             activity = tree.source_activity
-            if self._index(tree).match(component) is None:
+            if NodeIndex.of(tree, self.package).match(component) is None:
                 self._record("replay", activity, src_sid, component.describe(), "component missing")
                 return False
             self.driver.tap(component)
@@ -370,16 +358,14 @@ class Explorer:
     def _explore_act(self, act) -> None:
         if self.config.enable_fuzzing:
             input_type_of = getattr(self.driver, "input_type_of", None)  # optional in the driver contract
-            assignments = fuzz_assignments(
-                self.driver.current_tree(), self.config, self.package, input_type_of, self._index
-            )
+            assignments = fuzz_assignments(self.driver.current_tree(), self.config, self.package, input_type_of)
         else:
             assignments = [[]]
         for idx, assignment in enumerate(assignments):
             if idx > 0 and not self._relaunch(act.name):
                 self._record("relaunch", act.name, outcome="failed; remaining assignments skipped")
                 break
-            events, missing = apply_assignment(self.driver, assignment, self.package, self._index)
+            events, missing = apply_assignment(self.driver, assignment, self.package)
             for event, selector, _ in events:
                 self._record(event.value.lower(), act.name, selector=selector.describe(), outcome="fuzz")
             for selector in missing:

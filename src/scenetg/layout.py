@@ -68,8 +68,11 @@ class ComponentNode:
 
 @dataclass
 class ComponentTree:
+    """One page, a read-only snapshot: `NodeIndex.of` keeps the tree's index on it."""
+
     root: ComponentNode
     source_activity: str
+    _index: Optional["NodeIndex"] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -379,12 +382,21 @@ class NodeIndex:
     index goes stale if the tree is changed after it was built.
     """
 
-    __slots__ = ("order", "by_rid")
+    __slots__ = ("package", "order", "by_rid")
 
     def __init__(self, tree: ComponentTree, target_package: str):
+        self.package = target_package
         self.order = bfs_nodes(tree, target_package)
         # Filled from the back, so the node that stays for an id is its first in the order.
         self.by_rid = {node.resource_id: node for node in reversed(self.order)}
+
+    @classmethod
+    def of(cls, tree: ComponentTree, target_package: str) -> "NodeIndex":
+        """The tree's index, built the first time any caller asks and kept on the tree."""
+        index = tree._index
+        if index is None or index.package != target_package:
+            index = tree._index = cls(tree, target_package)
+        return index
 
     def match(self, selector: Selector) -> Optional[ComponentNode]:
         if selector.resource_id is not None:

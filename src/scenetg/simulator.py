@@ -422,11 +422,10 @@ def _row(k: int) -> Bounds:
 
 
 class _Page(NamedTuple):
-    """One rendered page: its tree, the widget model behind each node (by `id(node)`), and its node index."""
+    """One rendered page: its tree and the widget model behind each node (by `id(node)`)."""
 
     tree: ComponentTree
     owners: dict[int, WidgetModel]
-    index: NodeIndex
 
 
 class _ActivityInstance:
@@ -462,7 +461,7 @@ class SimulatorSession:
         self._stack: list[_Frame] = []
         self._shots = 0
         # Every page rendered so far (up to PAGE_CACHE_SIZE), by `page_key`: a page state seen
-        # again gives back the same tree and index. `_page` is the current one; None once an
+        # again gives back the same tree. `_page` is the current one; None once an
         # action may have changed it.
         self._pages: dict[tuple, _Page] = {}
         self._page: Optional[_Page] = None
@@ -598,14 +597,13 @@ class SimulatorSession:
         return node
 
     def _current_page(self) -> _Page:
-        """The top frame's page, rendered and indexed only the first time its page state is seen."""
+        """The top frame's page, rendered only the first time its page state is seen."""
         if self._page is None:
             frame = self._top()
             key = frame.instance.page_key(frame.scene)
             page = self._pages.get(key)
             if page is None:
-                tree, owners = self._render(frame)
-                page = self._pages[key] = _Page(tree, owners, NodeIndex(tree, self.model.package))
+                page = self._pages[key] = _Page(*self._render(frame))
                 if len(self._pages) > PAGE_CACHE_SIZE:
                     del self._pages[next(iter(self._pages))]
             self._page = page
@@ -629,7 +627,7 @@ class SimulatorSession:
     def _resolve(self, frame: _Frame, selector: Selector) -> WidgetModel:
         """The widget behind the node the selector picks on the current page (`NodeIndex.match`)."""
         page = self._current_page()
-        widget = page.owners.get(id(page.index.match(selector)))
+        widget = page.owners.get(id(NodeIndex.of(page.tree, self.model.package).match(selector)))
         if widget is None:
             raise SelectorNotFound(f"{selector.describe()!r} not on scene {frame.scene.name!r}")
         return widget

@@ -1,6 +1,6 @@
 """The work an explore does, counted rather than timed: renders per distinct page
-state, walks (`bfs_nodes` calls) per tree object on each side of the driver
-contract, tap selectors built per session, and a locked ledger of the work of
+state, walks (`bfs_nodes` calls) per tree object across both sides of the
+driver contract, tap selectors built per session, and a locked ledger of the work of
 each bundled model's explore.
 
 `PYTHONPATH=src python tests/test_work_counts.py` rewrites the ledger
@@ -27,24 +27,14 @@ CONFIGS = {  # the four configs the golden lock covers
 }
 
 
-def _side(frame) -> str:
-    """The side of the driver contract whose code, innermost first, made the call in `frame`."""
-    while frame is not None:
-        name = frame.f_globals.get("__name__")
-        if name in ("scenetg.simulator", "scenetg.engine"):
-            return name
-        frame = frame.f_back
-    return "elsewhere"
-
-
 def _count_walks(monkeypatch) -> Counter:
-    """Walks from now on, by (side, tree object, collapse mode); every walked tree is kept alive so no id is reused."""
+    """Walks from now on, by (tree object, collapse mode); every walked tree is kept alive so no id is reused."""
     walks = Counter()
     held = []
     bfs_nodes = layout.bfs_nodes
 
     def counted(tree, target_package, collapse_adapters=False):
-        walks[_side(sys._getframe(1)), id(tree), collapse_adapters] += 1
+        walks[id(tree), collapse_adapters] += 1
         held.append(tree)
         return bfs_nodes(tree, target_package, collapse_adapters)
 
@@ -97,18 +87,18 @@ def test_replay_shape_renders_each_page_state_once_and_walks_each_tree_once(monk
     # 2^4 states of the entry page; s1-s3 show none of the fuzzed widgets, so each renders once.
     assert Counter(scene for _, scene in renders) == {"s0": 16, "s1": 1, "s2": 1, "s3": 1}
     assert len(renders) == 16 + 3
+    # Each of the 19 trees is walked once for its index and once for its scene id, whichever side asks.
+    assert Counter(collapse for _, collapse in walks) == {False: 19, True: 19}
     assert max(walks.values()) == 1
-    assert {side for side, _, _ in walks} == {"scenetg.simulator", "scenetg.engine"}
 
 
 @pytest.mark.parametrize("label", sorted(CONFIGS))
-def test_each_tree_is_walked_at_most_once_per_side_and_collapse_mode(label, monkeypatch):
+def test_each_tree_is_walked_at_most_once_per_collapse_mode(label, monkeypatch):
     walks = _count_walks(monkeypatch)
     for path in sorted(Path(str(benchmark_path("app01.json"))).parent.glob("*.json")):
         model = load_app_model(path)
         explore(model, simulate(model), ExplorationConfig(**CONFIGS[label]))
     assert walks, "no walk was counted"
-    assert {side for side, _, _ in walks} <= {"scenetg.simulator", "scenetg.engine"}
     twice = [key for key, count in walks.items() if count > 1]
     assert twice == []
 
