@@ -137,9 +137,10 @@ class _BudgetedDriver:
 
     The call that would exceed `max_actions` raises ExplorationTimeout("actions"),
     and one made past `deadline` (a `time.monotonic()` reading, None for no limit)
-    raises ExplorationTimeout("time"), both before it reaches the driver. Every
-    other attribute is the driver's own; the ones the explorer reads in its loops
-    are bound or forwarded here, so reading them skips the `__getattr__` fallback.
+    raises ExplorationTimeout("time"), both before it reaches the driver. The
+    contract's other names are the driver's own, bound or forwarded here; the
+    optional `input_type_of` is None for a driver without it. The explorer reaches
+    the driver through these names alone.
     """
 
     def __init__(self, driver, max_actions: Optional[int]):
@@ -149,13 +150,11 @@ class _BudgetedDriver:
         self.deadline: Optional[float] = None
         self.current_tree = driver.current_tree
         self.screenshot_ref = driver.screenshot_ref
+        self.input_type_of = getattr(driver, "input_type_of", None)
 
     @property
     def running(self) -> bool:
         return self._driver.running
-
-    def __getattr__(self, name):
-        return getattr(self._driver, name)
 
     def _act(self) -> None:
         if self.actions == self._max_actions:
@@ -357,8 +356,7 @@ class Explorer:
 
     def _explore_act(self, act) -> None:
         if self.config.enable_fuzzing:
-            input_type_of = getattr(self.driver, "input_type_of", None)  # optional in the driver contract
-            assignments = fuzz_assignments(self.driver.current_tree(), self.config, self.package, input_type_of)
+            assignments = fuzz_assignments(self.driver.current_tree(), self.config, self.package, self.driver.input_type_of)
         else:
             assignments = [[]]
         for idx, assignment in enumerate(assignments):

@@ -538,6 +538,14 @@ class TestBudgetedDriver:
         driver.press_back()  # past the root: the app exits
         assert not driver.running and driver.actions == 2
 
+    def test_only_the_contract_names_reach_the_driver(self):
+        inner = simulate(load_benchmark("stoprule.json"))
+        driver = engine._BudgetedDriver(inner, None)
+        assert driver.input_type_of == inner.input_type_of
+        with pytest.raises(AttributeError):
+            driver.model  # the simulator's own attribute, outside the contract
+        assert engine._BudgetedDriver(_TextRecorder(inner, False), None).input_type_of is None
+
 
 def _spy(monkeypatch, module, name):
     """Wrap `module.name`; the returned list holds every tree it is called with (kept alive, so ids stay unique)."""
