@@ -626,3 +626,13 @@ class TestQueries:
         own = make_node(cls="android.widget.LinearLayout", children=[make_node(rid=f"{PKG}:id/ok", text="app")])
         tree = make_tree(make_node(children=[foreign, own]))
         assert NodeIndex(tree, PKG).match(Selector(resource_id=f"{PKG}:id/ok")).text == "app"
+
+    def test_index_of_is_built_once_per_tree_and_package(self):
+        tree = parse_hierarchy_dump(DUMP, "MainActivity")
+        index = NodeIndex.of(tree, PKG)
+        assert NodeIndex.of(tree, PKG) is index
+        assert NodeIndex(tree, PKG) is not index  # the constructor never reads the kept index
+        other = NodeIndex.of(tree, "com.android.systemui")
+        assert other is not index and other.package == "com.android.systemui" and other.order == []
+        # The kept index is left out of the tree's repr and equality.
+        assert tree == parse_hierarchy_dump(DUMP, "MainActivity") and "_index" not in repr(tree)
