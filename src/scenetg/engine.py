@@ -9,7 +9,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str  # the C escaper of json.dumps(ensure_ascii=True)
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import identity
 from .errors import DriverError, SelectorNotFound
@@ -21,9 +21,6 @@ from .layout import ComponentNode, ComponentTree, NodeIndex, Selector, serialize
 FUZZ_COMPONENT_CAP = 6
 # Depth of in-activity scene expansion; back-press restores try this many presses plus two.
 MAX_DEPTH_PER_ACTIVITY = 20
-# Tree objects whose state key and tap selectors the explorer keeps; past it the
-# oldest is dropped, and that tree is keyed anew if the driver returns it again.
-KEYED_TREES_CAP = 1024
 
 
 @dataclass
@@ -184,15 +181,6 @@ class _BudgetedDriver:
         self._driver.press_back()
 
 
-class _Seen(NamedTuple):
-    """What the explorer derives from one tree object, made in full when the object is first seen."""
-
-    tree: ComponentTree  # held, so that the id the entry is filed under is not reused while it lives
-    key: str  # the state key
-    xml: Optional[str]  # the text the raw-state key hashed; None under scene ids
-    taps: tuple[Selector, ...]  # a selector for each clickable node, in BFS order
-
-
 @dataclass
 class _RunCtx:
     run_id: str
@@ -225,10 +213,6 @@ class Explorer:
         self.failed_direct: set[str] = set()
         self.launch_methods: dict[str, tuple] = {}
         self.outcomes: dict[str, dict] = {act.name: {} for act in model.activities}
-        # id(tree) -> what was derived from each tree seen so far, up to KEYED_TREES_CAP.
-        # A driver may return the same tree object whenever the page state recurs, so
-        # each object is keyed once.
-        self._keys: dict[int, _Seen] = {}
         # resource id, or (class, bounds) without one -> the selector of that node. The states of a
         # page share its clickables, so each selector is built once per session.
         self._selectors: dict[object, Selector] = {}
@@ -252,19 +236,22 @@ class Explorer:
             }
         )
 
-    def _seen(self, tree: ComponentTree) -> _Seen:
-        seen = self._keys.get(id(tree))
-        if seen is None:
+    def _key(self, tree: ComponentTree) -> tuple[str, Optional[str]]:
+        """The tree's state key and the text a raw-state key hashed (None under scene ids).
+
+        Both are kept on the tree with the mode they were made under, so a tree object
+        the driver returns again is keyed once; another mode or package keys it anew.
+        """
+        mode = (self.config.enable_scene_id, self.package)
+        kept = tree._state_key
+        if kept is None or kept[0] != mode:
             if self.config.enable_scene_id:
                 key, xml = identity.scene_id(tree, self.package), None
             else:
                 xml = serialize_tree(tree)
                 key = identity.raw_state_id(xml)
-            taps = tuple(self._selector(n) for n in NodeIndex.of(tree, self.package).order if n.clickable)
-            seen = self._keys[id(tree)] = _Seen(tree, key, xml, taps)
-            if len(self._keys) > KEYED_TREES_CAP:
-                del self._keys[next(iter(self._keys))]
-        return seen
+            kept = tree._state_key = (mode, key, xml)
+        return kept[1], kept[2]
 
     def _selector(self, node: ComponentNode) -> Selector:
         key = node.resource_id or (node.widget_class, node.bounds)
@@ -274,12 +261,11 @@ class Explorer:
         return selector
 
     def _record_scene(self, tree: ComponentTree, path: list) -> str:
-        seen = self._seen(tree)
-        sid = seen.key
+        sid, xml = self._key(tree)
         if sid in self.scenetg.nodes:
             return sid
         self.scenetg.add_node(sid, tree.source_activity, f"layouts/{sid}.xml", self.driver.screenshot_ref())
-        self.layouts[sid] = seen.xml if seen.xml is not None else serialize_tree(tree)
+        self.layouts[sid] = xml if xml is not None else serialize_tree(tree)
         self.paths[sid] = [[event.value, selector.describe()] for event, selector, _ in path]
         self._record("discover", tree.source_activity, sid, outcome="new scene")
         return sid
@@ -384,7 +370,8 @@ class Explorer:
             return
         run.expanded.add(sid)
         self._record("expand", activity, sid, outcome=f"run={run.run_id}")
-        for selector in self._seen(tree).taps:
+        taps = [self._selector(n) for n in NodeIndex.of(tree, self.package).order if n.clickable]
+        for selector in taps:
             self.driver.tap(selector)
             ntree = self.driver.current_tree()
             nact = ntree.source_activity
@@ -395,7 +382,7 @@ class Explorer:
                 self._record("tap", activity, sid, selector.describe(), f"activity -> {nact}")
                 self._restore(activity, sid, path)
             else:
-                nsid = self._seen(ntree).key
+                nsid = self._key(ntree)[0]
                 if nsid == sid:
                     self._record("tap", activity, sid, selector.describe(), "no scene change")
                     continue
@@ -413,7 +400,7 @@ class Explorer:
             if not self.driver.running:
                 break
             tree = self.driver.current_tree()
-            if tree.source_activity == act_name and self._seen(tree).key == sid:
+            if tree.source_activity == act_name and self._key(tree)[0] == sid:
                 return
             self.driver.press_back()
             self._record("back", tree.source_activity, outcome="rollback")
@@ -423,7 +410,7 @@ class Explorer:
             _issue(self.driver, event, selector, value)
             self._record(event.value.lower(), act_name, selector=selector.describe(), outcome="replay")
         tree = self.driver.current_tree()
-        if tree.source_activity != act_name or self._seen(tree).key != sid:
+        if tree.source_activity != act_name or self._key(tree)[0] != sid:
             raise DriverError(f"cannot restore scene {sid[:8]} of {act_name}")
 
     # -- top level (the smart dynamic analysis loop) --------------------------

@@ -68,11 +68,18 @@ class ComponentNode:
 
 @dataclass
 class ComponentTree:
-    """One page, a read-only snapshot: `NodeIndex.of` keeps the tree's index on it."""
+    """One page, a read-only snapshot. What is derived from it is kept on it: the index
+    `NodeIndex.of` builds and the explorer's state key. A copy or pickle drops both,
+    so it indexes and keys anew."""
 
     root: ComponentNode
     source_activity: str
     _index: Optional["NodeIndex"] = field(default=None, init=False, repr=False, compare=False)
+    _state_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # The class-level None defaults stand in for the dropped fields.
+        return {"root": self.root, "source_activity": self.source_activity}
 
 
 @dataclass(frozen=True)

@@ -436,14 +436,11 @@ class _CopyingDriver:
 
     def __init__(self, inner):
         self._inner = inner
-        self.explorer = None
-        self.most_keyed = 0  # the most trees the explorer's key memo held at a current_tree call
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
     def current_tree(self):
-        self.most_keyed = max(self.most_keyed, len(self.explorer._keys))
         return copy.deepcopy(self._inner.current_tree())
 
 
@@ -456,21 +453,44 @@ def _explored_bytes(out) -> dict:
     }
 
 
+def _keying_explorer(package, scene_ids):
+    """An explorer with nothing to explore, for calling its `_key` on a tree."""
+    model = SimpleNamespace(package=package, activities=[], seed_atg=[])
+    driver = SimpleNamespace(current_tree=None, screenshot_ref=None)
+    return engine.Explorer(model, driver, ExplorationConfig(enable_scene_id=scene_ids))
+
+
 class TestKeyMemo:
-    @pytest.mark.parametrize("cap", [engine.KEYED_TREES_CAP, 3], ids=["cap", "cap-3"])
     @pytest.mark.parametrize("name", ["app01.json", "guarded.json"])
     @pytest.mark.parametrize("scene_ids", [True, False], ids=["scene-id", "raw-state"])
-    def test_copied_trees_give_the_same_artifacts(self, name, scene_ids, cap, monkeypatch, tmp_path):
+    def test_copied_trees_give_the_same_artifacts(self, name, scene_ids, tmp_path):
         config = ExplorationConfig(enable_scene_id=scene_ids)
         model = load_benchmark(name)
         plain = explore(model, simulate(model), config)
         write_outputs(plain, tmp_path / "plain", model.package)
-        monkeypatch.setattr(engine, "KEYED_TREES_CAP", cap)
-        driver = _CopyingDriver(simulate(model))
-        explorer = driver.explorer = engine.Explorer(model, driver, config)
-        write_outputs(explorer.explore(), tmp_path / "copied", model.package)
+        copied = explore(model, _CopyingDriver(simulate(model)), config)
+        write_outputs(copied, tmp_path / "copied", model.package)
         assert _explored_bytes(tmp_path / "copied") == _explored_bytes(tmp_path / "plain")
-        assert 0 < driver.most_keyed <= cap and len(explorer._keys) <= cap
+
+    def test_a_tree_is_keyed_anew_under_another_mode(self, monkeypatch):
+        tree = _fuzz_page()
+        xml = serialize_tree(tree)
+        sid, raw = identity.scene_id(tree, PKG), identity.raw_state_id(xml)
+        assert _keying_explorer(PKG, True)._key(tree) == (sid, None)
+        assert _keying_explorer(PKG, False)._key(tree) == (raw, xml)
+        # Asked again in the mode it was last keyed under, the kept key answers.
+        monkeypatch.setattr(identity, "raw_state_id", None)
+        assert _keying_explorer(PKG, False)._key(tree) == (raw, xml)
+
+    def test_a_tree_is_keyed_anew_for_another_package(self, monkeypatch):
+        tree = _fuzz_page()
+        other = "com.example.other"
+        sid, other_sid = identity.scene_id(tree, PKG), identity.scene_id(tree, other)
+        assert sid != other_sid
+        assert _keying_explorer(PKG, True)._key(tree) == (sid, None)
+        assert _keying_explorer(other, True)._key(tree) == (other_sid, None)
+        monkeypatch.setattr(identity, "scene_id", None)
+        assert _keying_explorer(other, True)._key(tree) == (other_sid, None)
 
 
 def test_partial_runs_are_byte_identical(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 import re
 import warnings
@@ -8,9 +9,10 @@ from xml.sax.saxutils import quoteattr
 
 import pytest
 
-from conftest import PKG, make_node, make_tree
+from conftest import PKG, load_benchmark, make_node, make_tree
 from test_golden import ABLATIONS
 from scenetg import benchmark_path
+from scenetg.engine import ExplorationConfig, Explorer
 from scenetg.errors import MissingAttribute, ParseError, SceneTGError
 from scenetg.layout import (
     BOUNDS_CACHE_SIZE,
@@ -27,6 +29,8 @@ from scenetg.layout import (
     parse_hierarchy_dump,
     serialize_tree,
 )
+from scenetg.icc import build_icc
+from scenetg.simulator import simulate
 
 DUMP = """<?xml version="1.0" encoding="UTF-8"?>
 <hierarchy>
@@ -636,3 +640,32 @@ class TestQueries:
         assert other is not index and other.package == "com.android.systemui" and other.order == []
         # The kept index is left out of the tree's repr and equality.
         assert tree == parse_hierarchy_dump(DUMP, "MainActivity") and "_index" not in repr(tree)
+
+    @staticmethod
+    def _indexed_and_keyed_entry_page():
+        """app01's entry page as the explorer leaves it: indexed and keyed."""
+        model = load_benchmark("app01.json")
+        driver = simulate(model)
+        driver.launch_activity(build_icc(model.activities[0], 0))
+        tree = driver.current_tree()
+        NodeIndex.of(tree, model.package)
+        Explorer(model, driver, ExplorationConfig())._key(tree)
+        assert tree._index is not None and tree._state_key is not None
+        return tree, model.package
+
+    def test_a_changed_copy_indexes_anew(self):
+        tree, pkg = self._indexed_and_keyed_entry_page()
+        changed = copy.deepcopy(tree)
+        popped = changed.root.children.pop(0)
+        gone = Selector(resource_id=popped.resource_id)
+        assert NodeIndex.of(changed, pkg).match(gone) is None
+        assert NodeIndex(changed, pkg).match(gone) is None
+        assert NodeIndex.of(tree, pkg).match(gone) == popped  # the original keeps its own
+
+    def test_copy_and_pickle_drop_what_was_derived(self):
+        tree, _ = self._indexed_and_keyed_entry_page()
+        before = repr(tree)
+        for kept in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert kept._index is None and kept._state_key is None
+            assert kept == tree and repr(kept) == before
+        assert tree._index is not None and tree._state_key is not None and repr(tree) == before
