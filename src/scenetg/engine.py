@@ -205,6 +205,7 @@ class Explorer:
         self.driver = _BudgetedDriver(driver, config.max_actions)
         self.config = config
         self.package = model.package
+        self._mode = (config.enable_scene_id, self.package)
         self.scenetg = SceneGraph()
         self.atg = ActivityGraph()
         self.trace: list[dict] = []
@@ -242,16 +243,15 @@ class Explorer:
         Both are kept on the tree with the mode they were made under, so a tree object
         the driver returns again is keyed once; another mode or package keys it anew.
         """
-        mode = (self.config.enable_scene_id, self.package)
         kept = tree._state_key
-        if kept is None or kept[0] != mode:
+        if kept is None or kept[0] != self._mode:
             if self.config.enable_scene_id:
                 key, xml = identity.scene_id(tree, self.package), None
             else:
                 xml = serialize_tree(tree)
                 key = identity.raw_state_id(xml)
-            kept = tree._state_key = (mode, key, xml)
-        return kept[1], kept[2]
+            kept = tree._state_key = (self._mode, (key, xml))
+        return kept[1]
 
     def _selector(self, node: ComponentNode) -> Selector:
         key = node.resource_id or (node.widget_class, node.bounds)

@@ -151,7 +151,7 @@ def _node_from_element(elem: ET.Element, position: int) -> ComponentNode:
 
 
 # What `serialize_tree` writes around its node lines, one to a line;
-# `_parse_written` and `_check_written` accept that form and no other.
+# `_written_lines` accepts that form and no other.
 _WRITTEN_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<hierarchy>\n'
 _WRITTEN_TAIL = "\n</hierarchy>\n"
 # A string value XML keeps as it is: no quote, `&` or `<`, no control character
@@ -173,88 +173,74 @@ _WRITTEN_LINE = re.compile(
 _WRITTEN_MAX_DEPTH = 100
 
 
-def _parse_written(text: str, source_activity: str) -> Optional[ComponentTree]:
-    """The tree of a dump in exactly the form `serialize_tree` writes, or None for any other text.
+def _written_lines(text: str) -> Optional[list[re.Match]]:
+    """The line matches of a dump in exactly the form `serialize_tree` writes, or None for any other text.
 
-    None hands the text to the general parse, which builds the same tree or
-    reports the error; so this never raises.
+    The one walk that applies the form's rules: the head and tail, the line
+    pattern, no close before its open, the depth bound, a single root, and
+    `bounds` and `index` values that parse. None hands the text to the general
+    parse, which builds the tree `_build_written` would or reports the error;
+    so this never raises.
     """
     if not (text.startswith(_WRITTEN_HEAD) and text.endswith(_WRITTEN_TAIL)):
         return None
-    roots: list[ComponentNode] = []
-    stack = [roots]  # the children list of each open node, under the roots
-    try:
-        for line in text[len(_WRITTEN_HEAD) : -len(_WRITTEN_TAIL)].split("\n"):
-            m = _WRITTEN_LINE(line)
-            if m is None:
-                return None
-            index, cls, pkg, rid, txt, clk, chk, chd, ena, scr, lng, bounds, leaf = m.groups()
-            if index is None:  # </node>
-                if len(stack) == 1:
-                    return None
-                stack.pop()
-                continue
-            if len(stack) > _WRITTEN_MAX_DEPTH:
-                return None
-            kids: list[ComponentNode] = []
-            stack[-1].append(
-                ComponentNode(  # positional, in field order
-                    cls,
-                    pkg,
-                    rid,
-                    txt,
-                    _bounds(bounds),
-                    clk == "true",
-                    chk == "true",
-                    chd == "true",
-                    ena == "true",
-                    scr == "true",
-                    lng == "true",
-                    int(index),
-                    kids,
-                )
-            )
-            if leaf is None:
-                stack.append(kids)
-    except (ParseError, ValueError):  # degenerate bounds; an index past int's digit limit
-        return None
-    if len(stack) != 1 or len(roots) != 1:
-        return None
-    return ComponentTree(root=roots[0], source_activity=source_activity)
-
-
-def _check_written(text: str) -> bool:
-    """Whether `_parse_written` builds a tree from `text`: its walk and rules, building no node.
-
-    The same line pattern, `bounds` and `index` checks, depth bound, close
-    rule and single-root rule; so True exactly where `_parse_written` returns
-    a tree.
-    """
-    if not (text.startswith(_WRITTEN_HEAD) and text.endswith(_WRITTEN_TAIL)):
-        return False
+    lines = []
     depth = roots = 0
     try:
         for line in text[len(_WRITTEN_HEAD) : -len(_WRITTEN_TAIL)].split("\n"):
             m = _WRITTEN_LINE(line)
             if m is None:
-                return False
+                return None
+            lines.append(m)
             index, bounds, leaf = m.group(1, 12, 13)
             if index is None:  # </node>
                 if depth == 0:
-                    return False
+                    return None
                 depth -= 1
                 continue
             if depth == 0:
                 roots += 1
             elif depth >= _WRITTEN_MAX_DEPTH:
-                return False
+                return None
             _bounds(bounds)
             int(index)
             if leaf is None:
                 depth += 1
     except (ParseError, ValueError):  # degenerate bounds; an index past int's digit limit
-        return False
-    return depth == 0 and roots == 1
+        return None
+    return lines if depth == 0 and roots == 1 else None
+
+
+def _build_written(lines: list[re.Match], source_activity: str) -> ComponentTree:
+    """The tree of the line matches `_written_lines` returned, which meet every rule of the form."""
+    roots: list[ComponentNode] = []
+    stack = [roots]  # the children list of each open node, under the roots
+    for m in lines:
+        index, cls, pkg, rid, txt, clk, chk, chd, ena, scr, lng, bounds, leaf = m.groups()
+        if index is None:  # </node>
+            stack.pop()
+            continue
+        kids: list[ComponentNode] = []
+        stack[-1].append(
+            ComponentNode(  # positional, in field order
+                cls,
+                pkg,
+                rid,
+                txt,
+                _bounds(bounds),
+                clk == "true",
+                chk == "true",
+                chd == "true",
+                ena == "true",
+                scr == "true",
+                lng == "true",
+                int(index),
+                kids,
+            )
+        )
+        if leaf is None:
+            stack.append(kids)
+    return ComponentTree(root=roots[0], source_activity=source_activity)
 
 
 def _parse_general(text: str, source_activity: str) -> ComponentTree:
@@ -284,17 +270,17 @@ def parse_hierarchy_dump(text: str, source_activity: str) -> ComponentTree:
     Text in exactly the form `serialize_tree` writes takes a line-pattern fast
     path; any other text is parsed by ElementTree.
     """
-    tree = _parse_written(text, source_activity)
-    return tree if tree is not None else _parse_general(text, source_activity)
+    lines = _written_lines(text)
+    return _parse_general(text, source_activity) if lines is None else _build_written(lines, source_activity)
 
 
 def check_hierarchy_dump(text: str) -> None:
     """Raise what `parse_hierarchy_dump` raises for `text`, if anything.
 
-    Text in the writer's form is checked line by line and builds no node;
+    Text in the writer's form is walked line by line and builds no node;
     any other text goes through the ElementTree parse.
     """
-    if not _check_written(text):
+    if _written_lines(text) is None:
         _parse_general(text, "")
 
 

@@ -22,8 +22,8 @@ from scenetg.layout import (
     NodeIndex,
     Selector,
     _bounds,
-    _check_written,
-    _parse_written,
+    _build_written,
+    _written_lines,
     bfs_nodes,
     check_hierarchy_dump,
     parse_hierarchy_dump,
@@ -380,8 +380,9 @@ class TestBoundsCache:
 
 
 # ---------------------------------------------------------------------------
-# The writer-form fast path: `_parse_written` builds the reference's tree or
-# returns None, and `parse_hierarchy_dump` then gives the reference's outcome.
+# The writer-form fast path: `_written_lines` accepts a text or returns None,
+# `_build_written` builds the reference's tree from what it accepts, and
+# `parse_hierarchy_dump` gives the reference's outcome either way.
 
 # Characters XML keeps as they are inside a double-quoted value...
 KEPT = ["a", "Z", "0", " ", "'", ">", "\x7f", "\x85", "é", "\u2028", "\ue000", "\ufffd", "\U0001f600",
@@ -480,12 +481,12 @@ class TestWrittenFastPath:
     def test_random_trees_parse_as_the_reference_does_or_hand_off(self):
         taken = handed_off = 0
         for text in _random_texts():
-            fast = _parse_written(text, "A")
-            if fast is None:
+            lines = _written_lines(text)
+            if lines is None:
                 handed_off += 1
             else:
                 taken += 1
-                assert fast == _reference_parse(text, "A"), text
+                assert _build_written(lines, "A") == _reference_parse(text, "A"), text
         assert taken > 1000 and handed_off > 1000
 
     def test_edited_bundled_layouts_parse_as_the_reference_does(self, runs):
@@ -495,7 +496,7 @@ class TestWrittenFastPath:
             assert got == _outcome(_reference_parse, case), (kind, case)
             if kind == "degenerate-cut":
                 assert got[1].startswith("malformed hierarchy dump"), got
-            fast_path.setdefault(kind, set()).add(_parse_written(case, "A") is not None)
+            fast_path.setdefault(kind, set()).add(_written_lines(case) is not None)
         assert sorted(fast_path) == sorted(EDITS)
         # Every edit handed off somewhere, and some edits kept the writer's form.
         assert all(False in seen for seen in fast_path.values())
@@ -507,9 +508,9 @@ class TestWrittenFastPath:
             chain = make_node(cls="c", package="p", bounds=Bounds(0, 0, 1, 1), enabled=True, children=[chain] if chain else [])
         at_bound = serialize_tree(make_tree(chain))
         assert at_bound == _written_chain(100)
-        assert _parse_written(at_bound, "A") == _reference_parse(at_bound, "A")
+        assert _build_written(_written_lines(at_bound), "A") == _reference_parse(at_bound, "A")
         past_bound = _written_chain(101)
-        assert _parse_written(past_bound, "A") is None
+        assert _written_lines(past_bound) is None
         assert parse_hierarchy_dump(past_bound, "A") == _reference_parse(past_bound, "A")
         with pytest.raises(ParseError, match="^hierarchy nested too deeply to parse$"):
             parse_hierarchy_dump(_written_chain(1200), "A")
@@ -529,12 +530,13 @@ class TestWrittenCheck:
             close_first.append("\n".join(lines[:2] + [lines[-3]] + lines[2:-3] + lines[-2:]))
         return [*_random_texts(), *(case for _, case in _edited_layouts(runs)), *chains, *close_first]
 
-    def test_check_accepts_exactly_the_texts_the_fast_path_builds(self, corpus):
+    def test_the_walk_accepts_only_texts_it_builds_as_the_reference_does(self, corpus):
         accepted = 0
         for text in corpus:
-            built = _parse_written(text, "A") is not None
-            assert _check_written(text) is built, text
-            accepted += built
+            lines = _written_lines(text)
+            if lines is not None:
+                assert _build_written(lines, "A") == _reference_parse(text, "A"), text
+                accepted += 1
         assert 1000 < accepted < len(corpus) - 1000
 
     def test_check_raises_what_the_parse_raises(self, corpus):
@@ -559,7 +561,7 @@ class TestWriterReaderLock:
             for name in BUNDLED:
                 _, out, _ = runs.run(name, **cfg)
                 for path in sorted((out / "layouts").glob("*.xml")):
-                    assert _parse_written(path.read_text(encoding="utf-8"), "A") is not None, (cfg, path.name)
+                    assert _written_lines(path.read_text(encoding="utf-8")) is not None, (cfg, path.name)
                     count += 1
         assert count == 1504
 
@@ -567,7 +569,7 @@ class TestWriterReaderLock:
     def test_value_that_needs_escaping_round_trips_through_the_general_parse(self, value):
         tree = make_tree(make_node(cls="android.widget.FrameLayout", children=[make_node(rid=value, text=value)]), "A")
         text = serialize_tree(tree)
-        assert _parse_written(text, "A") is None
+        assert _written_lines(text) is None
         assert parse_hierarchy_dump(text, "A") == tree
 
 

@@ -74,3 +74,15 @@ def test_only_graphs_read_text_reads_a_file():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         sites += [f"{path.name}:{scope}" for scope in visitor.sites]
     assert sites == ["graphs.py:read_text"]
+
+
+def test_one_walk_reads_the_writer_form_pattern():
+    """`layout._WRITTEN_LINE` is loaded inside exactly one function, the walk that holds the writer form's rules."""
+    path = ROOT / "src" / "scenetg" / "layout.py"
+    readers = [
+        func.name
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, ast.Name) and n.id == "_WRITTEN_LINE" and isinstance(n.ctx, ast.Load) for n in ast.walk(func))
+    ]
+    assert readers == ["_written_lines"]
