@@ -8,9 +8,11 @@ after mapping old scene ids through the matching.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -19,6 +21,8 @@ from .graphs import read_json, read_run_document, read_text
 from .layout import ComponentNode, ComponentTree, check_hierarchy_dump, children, parse_hierarchy_dump
 
 TRACKED_PROPERTIES = ("resource_id", "widget_class", "package", "text", "clickable")
+_tracked = attrgetter(*TRACKED_PROPERTIES)
+_child_key = attrgetter("resource_id", "widget_class")
 
 
 class ChangeKind(str, Enum):
@@ -146,9 +150,12 @@ class RunSnapshot:
             if not isinstance(steps, list):
                 raise CorruptRun(f"{paths_file}: {sid}: expected a list of [event, component] pairs")
             for i, step in enumerate(steps):
-                if not (isinstance(step, list) and len(step) == 2 and all(isinstance(x, str) for x in step)):
+                if not (
+                    isinstance(step, list) and len(step) == 2 and isinstance(step[0], str) and isinstance(step[1], str)
+                ):
                     raise CorruptRun(f"{paths_file}: {sid}[{i}]: expected an [event, component] pair of strings")
         layouts = {}
+        prefix = f"{directory / 'layouts'}{os.sep}"  # the text of `directory / layout_ref`, joined once
         for i, scene in enumerate(doc["scenes"]):
             # One plain file name under layouts/, as the writer records it; a
             # ref out of the run could read another run's layout, or a device.
@@ -159,7 +166,7 @@ class RunSnapshot:
                 )
             if scene["id"] not in paths:
                 raise CorruptRun(f"{paths_file}: no path for scene {scene['id']}")
-            layouts[scene["id"]] = read_text(directory / scene["layout_ref"])
+            layouts[scene["id"]] = read_text(prefix + name)
         edges = {
             (e["src"], e["dst"], e["event"], e["component"]) for e in doc["scene_edges"]
         }
@@ -207,8 +214,14 @@ def _align(old_kids: list[ComponentNode], new_kids: list[ComponentNode]):
     """Pair children by (resource_id, widget_class); positional fallback otherwise.
 
     An old child with a resource id takes the first unused new child with its
-    key; the rest pair by position in order.
+    key; the rest pair by position in order. When both lists have the same key
+    sequence, that rule pairs every child with the one at its own position: the
+    n-th old child with a key takes the n-th new child with it, and the children
+    without a resource id are left over at the same positions on both sides. So
+    that case pairs by position at once, with nothing added or deleted.
     """
+    if list(map(_child_key, old_kids)) == list(map(_child_key, new_kids)):
+        return list(zip(old_kids, new_kids, range(len(new_kids)))), [], []
     slots: dict[tuple, deque] = {}  # key -> unused new positions, in order
     for j, new_child in enumerate(new_kids):
         if new_child.resource_id:
@@ -237,18 +250,21 @@ def _align(old_kids: list[ComponentNode], new_kids: list[ComponentNode]):
 
 
 def _diff_nodes(old: ComponentNode, new: ComponentNode, path: tuple, changes: list, package: str):
-    for attr in TRACKED_PROPERTIES:
-        if getattr(old, attr) != getattr(new, attr):
-            changes.append(
-                NodeChange(
-                    ChangeKind.PROPERTY_CHANGED,
-                    path,
-                    new.resource_id or old.resource_id,
-                    attribute=attr,
-                    old=getattr(old, attr),
-                    new=getattr(new, attr),
+    if _tracked(old) != _tracked(new):
+        for attr in TRACKED_PROPERTIES:
+            if getattr(old, attr) != getattr(new, attr):
+                changes.append(
+                    NodeChange(
+                        ChangeKind.PROPERTY_CHANGED,
+                        path,
+                        new.resource_id or old.resource_id,
+                        attribute=attr,
+                        old=getattr(old, attr),
+                        new=getattr(new, attr),
+                    )
                 )
-            )
+    if not (old.children or new.children):  # two leaves: no children to pair
+        return
     pairs, added, deleted = _align(
         children(old, package, collapse_adapters=True), children(new, package, collapse_adapters=True)
     )

@@ -1,3 +1,5 @@
+import copy
+import json
 import random
 import shutil
 from types import SimpleNamespace
@@ -7,8 +9,9 @@ import pytest
 from conftest import PKG, make_node, make_tree
 from scenetg import diff
 from scenetg.cli import EXIT_RUNTIME, main
-from scenetg.diff import ChangeKind, RunSnapshot, diff_graphs, diff_trees, match_scenes
-from scenetg.layout import serialize_tree
+from scenetg.diff import TRACKED_PROPERTIES, ChangeKind, NodeChange, RunSnapshot, diff_graphs, diff_trees, match_scenes
+from scenetg.errors import CorruptRun
+from scenetg.layout import Bounds, children, serialize_tree
 
 PROXY = "com.fixture.proxy"
 
@@ -128,6 +131,151 @@ class TestAlign:
             want = self._positions(_quadratic_align(old_kids, new_kids), old_kids, new_kids)
             assert got == want
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_key_sequences_pair_by_position(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            old_kids = self._kids(rng, rng.randrange(12))
+            # Fresh children with the same keys in the same order, every other property changed.
+            new_kids = [make_node(rid=c.resource_id, cls=c.widget_class, text="new", clickable=True) for c in old_kids]
+            got = self._positions(diff._align(old_kids, new_kids), old_kids, new_kids)
+            assert got == self._positions(_quadratic_align(old_kids, new_kids), old_kids, new_kids)
+            assert got == ([(i, i, i) for i in range(len(old_kids))], [], [])
+
+
+FOREIGN = "com.other.app"
+
+
+def _reference_diff_trees(old, new, target_package, paths):
+    """The original `diff_trees`, kept as the reference for it: every node pair runs the
+    per-attribute loop and pairs its children with `_quadratic_align`. `paths` counts, from
+    the trees, which way `_diff_nodes` takes for each node pair it visits."""
+    changes = []
+    old_in = old.root.package == target_package
+    new_in = new.root.package == target_package
+    if old_in and new_in:
+        _reference_diff_nodes(old.root, new.root, (), changes, target_package, paths)
+    elif new_in:
+        changes.append(NodeChange(ChangeKind.ADDED, (), new.root.resource_id))
+    elif old_in:
+        changes.append(NodeChange(ChangeKind.DELETED, (), old.root.resource_id))
+    return changes
+
+
+def _reference_diff_nodes(old, new, path, changes, package, paths):
+    for attr in TRACKED_PROPERTIES:
+        if getattr(old, attr) != getattr(new, attr):
+            changes.append(
+                NodeChange(
+                    ChangeKind.PROPERTY_CHANGED,
+                    path,
+                    new.resource_id or old.resource_id,
+                    attribute=attr,
+                    old=getattr(old, attr),
+                    new=getattr(new, attr),
+                )
+            )
+    old_kids = children(old, package, collapse_adapters=True)
+    new_kids = children(new, package, collapse_adapters=True)
+    if not (old.children or new.children):
+        paths["leaf"] += 1
+    elif [(c.resource_id, c.widget_class) for c in old_kids] == [(c.resource_id, c.widget_class) for c in new_kids]:
+        paths["equal keys"] += 1
+    else:
+        paths["general"] += 1
+    pairs, added, deleted = _quadratic_align(old_kids, new_kids)
+    for j, child in added:
+        changes.append(NodeChange(ChangeKind.ADDED, path + (j,), child.resource_id))
+    for child in deleted:
+        changes.append(NodeChange(ChangeKind.DELETED, path + (child.index,), child.resource_id))
+    for old_child, new_child, j in pairs:
+        _reference_diff_nodes(old_child, new_child, path + (j,), changes, package, paths)
+
+
+class TestDiffTreesReference:
+    """`diff_trees` gives the reference's changes on seeded random tree pairs, each pair a
+    random tree and a mutated copy of it."""
+
+    # "" is a node without a resource id; few ids, so duplicate keys are common.
+    RIDS = ("", "", "x:id/a", "x:id/b", "x:id/c")
+    CLASSES = ("android.view.View", "android.widget.TextView", "android.widget.ListView")
+    TEXTS = ("", "t1", "t2")
+
+    def _node(self, rng, depth):
+        kids = []
+        if depth and rng.random() < 0.6:
+            kids = [self._node(rng, depth - 1) for _ in range(rng.randrange(1, 5))]
+        return make_node(
+            rid=rng.choice(self.RIDS),
+            cls=rng.choice(self.CLASSES),
+            text=rng.choice(self.TEXTS),
+            clickable=rng.random() < 0.3,
+            index=rng.randrange(5),
+            children=kids,
+        )
+
+    def _edit_untracked(self, rng, node):
+        node.checked = not node.checked
+        node.bounds = Bounds(0, 0, rng.randrange(1, 100), rng.randrange(1, 100))
+
+    def _mutate(self, rng, root):
+        node = rng.choice(list(root.iter_subtree()))
+        kids = node.children
+        at = rng.randrange(len(kids) + 1)
+        edit = rng.randrange(9)
+        if edit == 0:  # each tracked property in turn comes up
+            attr = rng.choice(TRACKED_PROPERTIES)
+            value = {
+                "resource_id": rng.choice(self.RIDS),
+                "widget_class": rng.choice(self.CLASSES),
+                "package": rng.choice((PKG, FOREIGN)),
+                "text": rng.choice(self.TEXTS),
+                "clickable": not node.clickable,
+            }[attr]
+            setattr(node, attr, value)
+        elif edit == 1:
+            self._edit_untracked(rng, node)
+        elif edit == 2:
+            kids.insert(at, self._node(rng, 2))
+        elif edit == 3 and kids:
+            del kids[rng.randrange(len(kids))]
+        elif edit == 4:
+            rng.shuffle(kids)
+        elif edit == 5:
+            kids.insert(at, make_node(rid=rng.choice(self.RIDS), package=FOREIGN, children=[self._node(rng, 1)]))
+        elif edit == 6:
+            rows = [make_node(rid="x:id/row", text=rng.choice(self.TEXTS)) for _ in range(rng.randrange(1, 4))]
+            kids.insert(at, make_node(rid="x:id/list", cls="android.widget.RecyclerView", children=rows))
+        elif edit == 7:  # a leaf becomes a branch, and a branch a leaf
+            node.children = [] if kids else [self._node(rng, 1) for _ in range(rng.randrange(1, 4))]
+        elif edit == 8 and kids:  # a child with a key equal to its sibling's
+            twin = rng.choice(kids)
+            kids.insert(at, make_node(rid=twin.resource_id, cls=twin.widget_class, text="twin"))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_reference(self, seed):
+        rng = random.Random(seed)
+        paths = {"leaf": 0, "equal keys": 0, "general": 0}
+        for _ in range(40):
+            old = make_tree(self._node(rng, 4))
+            new = copy.deepcopy(old)
+            for _ in range(rng.randrange(4)):
+                self._mutate(rng, new.root)
+            for a, b in ((old, new), (new, old)):
+                assert diff_trees(a, b, PKG) == _reference_diff_trees(a, b, PKG, paths)
+        assert all(paths.values()), paths
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_untracked_edits_give_no_change(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            old = make_tree(self._node(rng, 4))
+            new = copy.deepcopy(old)
+            for node in new.root.iter_subtree():
+                if rng.random() < 0.5:
+                    self._edit_untracked(rng, node)
+            assert diff_trees(old, new, PKG) == []
+
 
 class TestMatchScenes:
     def test_entry_scenes_keyed_by_activity(self, runs):
@@ -244,6 +392,37 @@ class TestDiffReadsEveryLayout:
         code = main(["diff", "--old", str(old), "--new", str(new), "--out", str(tmp_path / "d.json")])
         assert code == EXIT_RUNTIME
         assert "malformed hierarchy dump" in capsys.readouterr().err
+
+
+class TestLayoutPathText:
+    """A missing layout is named by the text `directory / layout_ref` gives."""
+
+    @pytest.fixture
+    def run(self, runs, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(runs.run("app03.json")[1], run)
+        sid = json.loads((run / "scenetg.json").read_text(encoding="utf-8"))["scenes"][0]["id"]
+        _layout(run, sid).unlink()
+        return run, sid
+
+    def test_run_dir_dot(self, run, tmp_path, monkeypatch, capsys):
+        run, sid = run
+        monkeypatch.chdir(run)
+        name = f"layouts/{sid}.xml"
+        with pytest.raises(CorruptRun) as err:
+            RunSnapshot.load(".")
+        assert str(err.value).startswith(f"{name}: cannot read: ")
+        assert main(["diff", "--old", ".", "--new", ".", "--out", str(tmp_path / "d.json")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"error: {name}: cannot read: ")
+
+    def test_run_dir_with_trailing_slash(self, run, tmp_path, capsys):
+        run, sid = run
+        name = f"{run}/layouts/{sid}.xml"
+        with pytest.raises(CorruptRun) as err:
+            RunSnapshot.load(f"{run}/")
+        assert str(err.value).startswith(f"{name}: cannot read: ")
+        assert main(["diff", "--old", f"{run}/", "--new", f"{run}/", "--out", str(tmp_path / "d.json")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"error: {name}: cannot read: ")
 
 
 class TestDiffWorkCounts:
